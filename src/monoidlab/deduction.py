@@ -25,6 +25,7 @@ from .words import (
     Identity,
     Word,
     format_identity,
+    extend_match,
     format_word,
     match_pattern,
     parse_identity,
@@ -122,61 +123,117 @@ def _rule_applications(
             )
 
 
+def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def _least_step(
+    ut: tuple[str, ...], vt: tuple[str, ...], p: Word, q: Word, lcp: int, lcs: int
+) -> tuple[dict[str, Word], int] | None:
+    """The least (theta, position) rewriting ut to vt by p -> q, or None.
+
+    "Least" is the (sorted theta restricted to p, position, sorted theta of
+    the variables only in q) order.  With p = A·P·B and q = A·Q·B for the
+    longest common prefix A and suffix B of the two sides, every valid step
+    has theta(P) = ut[s:e] and theta(Q) = vt[s:e+delta] for a window with
+    s <= lcp and e >= len(ut) - lcs.  Each such window is solved exactly,
+    P on ut jointly with Q on vt, and only then is the solution extended on
+    ut: B to the right from e, and A to the left from s (matched reversed).
+    """
+    a = _common_prefix(p.letters, q.letters)
+    p_rest, q_rest = p.letters[a:], q.letters[a:]
+    b = _common_prefix(p_rest[::-1], q_rest[::-1])
+    a_rev = p.letters[:a][::-1]
+    p_mid, q_mid = p_rest[: len(p_rest) - b], q_rest[: len(q_rest) - b]
+    b_side = p_rest[len(p_rest) - b :]
+    p_vars = sorted(p.content())
+    one_sided = sorted(q.content() - p.content())
+    nu, delta = len(ut), len(vt) - len(ut)
+
+    best: tuple | None = None
+    bindings: dict[str, tuple[str, ...]] = {}
+    reversed_bindings: dict[str, tuple[str, ...]] = {}
+    s = e = 0
+    prefix_rev: tuple[str, ...] = ()
+
+    def on_a(stop: int) -> None:
+        nonlocal best
+        images = {c: t[::-1] for c, t in reversed_bindings.items()}
+        key = (
+            tuple(images[c] for c in p_vars),
+            s - stop,
+            tuple(images[c] for c in one_sided),
+        )
+        if best is None or key < best[0]:
+            best = (key, images)
+
+    def on_b(_stop: int) -> None:
+        nonlocal reversed_bindings
+        reversed_bindings = {c: t[::-1] for c, t in bindings.items()}
+        extend_match(a_rev, prefix_rev, (0,), None, reversed_bindings, on_a)
+
+    def on_q(_stop: int) -> None:
+        extend_match(b_side, ut, (e,), None, bindings, on_b)
+
+    def on_p(_stop: int) -> None:
+        extend_match(q_mid, vt, (s,), e + delta, bindings, on_q)
+
+    for s in range(lcp + 1):
+        prefix_rev = ut[:s][::-1]
+        for e in range(max(s, s - delta, nu - lcs), nu + 1):
+            extend_match(p_mid, ut, (s,), e, bindings, on_p)
+
+    if best is None:
+        return None
+    (_key_p, pos, _key_q), images = best
+    order = dict.fromkeys(p.letters + q.letters)
+    return {c: Word(images[c]) for c in order}, pos
+
+
 def directly_deducible(
     u: Word, v: Word, rules: Sequence[Identity]
 ) -> DerivationStep | None:
     """The first single derivation step turning u into v, or None.
 
-    Deterministic search order: rules in the given order, each used forward
-    then backward, substitutions in the sorted order produced by the
-    matcher, occurrence positions left to right.  Variables occurring only
-    on the replacement side are solved against the target word, so the
-    check is exact for arbitrary rules.
+    Deterministic order: rules in the given order, each used forward then
+    backward; within one rule direction, the least substitution in the
+    sorted order of the matcher (``match_pattern``), then the leftmost
+    position, then the least image of the variables occurring only on the
+    replacement side (solved against v, so the check is exact for
+    arbitrary rules).  This is the first step an exhaustive search in that
+    order would find.
+
+    The search is anchored on where u and v differ rather than on every
+    embedding of the rule into u: only the part of the rule where its two
+    sides differ is matched, and only on the windows that span the
+    difference between u and v (see ``_least_step``).
     """
     if u == v:
         return None
-    from .words import match_exact
-
+    ut, vt = u.letters, v.letters
+    lcp = _common_prefix(ut, vt)
+    lcs = _common_prefix(ut[::-1], vt[::-1])
     for idx, rule in enumerate(rules):
         for forward in (True, False):
             p, q = (rule.lhs, rule.rhs) if forward else (rule.rhs, rule.lhs)
-            delta = len(v) - len(u)
-            one_sided = q.content() - p.content()
-            for theta_p in match_pattern(p, u):
-                image_p = p.substitute(theta_p)
-                qlen = len(image_p) + delta
-                if qlen < 0:
-                    continue
-                for pos in _occurrences(u.letters, image_p.letters):
-                    if v.letters[:pos] != u.letters[:pos]:
-                        continue
-                    if v.letters[pos + qlen:] != u.letters[pos + len(image_p):]:
-                        continue
-                    factor = Word(v.letters[pos : pos + qlen])
-                    if not one_sided:
-                        if q.substitute(theta_p) != factor:
-                            continue
-                        theta = dict(theta_p)
-                    else:
-                        theta = None
-                        for theta_q in match_exact(q, factor):
-                            if all(
-                                theta_q[c] == theta_p[c]
-                                for c in q.content() & p.content()
-                            ):
-                                theta = {**theta_p, **theta_q}
-                                break
-                        if theta is None:
-                            continue
-                    return DerivationStep(
-                        source=u,
-                        target=v,
-                        rule_index=idx,
-                        forward=forward,
-                        theta=theta,
-                        left=u[:pos],
-                        right=u[pos + len(image_p):],
-                    )
+            found = _least_step(ut, vt, p, q, lcp, lcs)
+            if found is None:
+                continue
+            theta, pos = found
+            end = pos + sum(len(theta[c]) for c in p.letters)
+            return DerivationStep(
+                source=u,
+                target=v,
+                rule_index=idx,
+                forward=forward,
+                theta=theta,
+                left=u[:pos],
+                right=u[end:],
+            )
     return None
 
 
@@ -268,18 +325,29 @@ class DerivationScript:
         return cls.from_dict(json.loads(text))
 
 
-def bundled_scripts() -> dict[str, DerivationScript]:
-    """The derivation scripts shipped with the package, keyed by name."""
+def _bundled_script_files() -> dict:
+    """Name -> resource of each derivation script shipped with the package."""
     from importlib import resources
 
-    out: dict[str, DerivationScript] = {}
     root = resources.files("monoidlab").joinpath("data/scripts")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[: -len(".json")]] = DerivationScript.from_json(
-                entry.read_text()
-            )
-    return out
+    return {
+        entry.name[: -len(".json")]: entry
+        for entry in root.iterdir()
+        if entry.name.endswith(".json")
+    }
+
+
+def bundled_scripts() -> dict[str, DerivationScript]:
+    """The derivation scripts shipped with the package, keyed by name."""
+    files = _bundled_script_files()
+    return {name: DerivationScript.from_json(files[name].read_text()) for name in sorted(files)}
+
+
+def bundled_script(name: str) -> DerivationScript | None:
+    """The shipped derivation script called ``name`` (parsing only that
+    one), or None if there is none."""
+    entry = _bundled_script_files().get(name)
+    return None if entry is None else DerivationScript.from_json(entry.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +668,8 @@ def lambda_reduce(u: Word, v: Word) -> list[LambdaIdentity]:
 
     while vblocks != ublocks:
         ell = next(i for i, (a, b) in enumerate(zip(ublocks, vblocks)) if a != b)
-        assert ell >= 1, "equal initial parts force equal leading blocks"
+        if ell < 1:
+            raise AssertionError("equal initial parts force equal leading blocks")
         ub, vb = ublocks[ell], vblocks[ell]
         suffix = 0
         while suffix < len(ub) and ub[-1 - suffix] == vb[-1 - suffix]:
@@ -608,19 +677,20 @@ def lambda_reduce(u: Word, v: Word) -> list[LambdaIdentity]:
         x = ub[len(ub) - 1 - suffix]
         pos = vb.index(x)
         between = vb[pos + 1 : len(vb) - suffix]
-        assert between, "x sits strictly earlier in the differing block"
+        if not between:
+            raise AssertionError("x sits strictly earlier in the differing block")
         for y in between:
             lam = LambdaIdentity(
                 tuple(_project_block(vblocks[i], x, y) for i in range(ell))
             )
-            assert any(p != EMPTY for p in lam.prefixes), (
-                "equal initial parts guarantee a nonempty prefix"
-            )
+            if all(p == EMPTY for p in lam.prefixes):
+                raise AssertionError("equal initial parts guarantee a nonempty prefix")
             if lam not in seen:
                 seen.add(lam)
                 out.append(lam)
             i = vb.index(x)
-            assert vb[i + 1] == y
+            if vb[i + 1] != y:
+                raise AssertionError("y follows x in the block being rearranged")
             vb[i], vb[i + 1] = vb[i + 1], vb[i]
     return out
 

@@ -612,7 +612,8 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     details["free_monoid_size"] = rf.size
 
     target = rf.state_of(w)
-    assert target is not None
+    if target is None:
+        raise AssertionError("a complete free object must contain the word's class")
     try:
         witness = _second_word_in_class(rf, target, w)
     except RelFreeCapExceeded as exc:
@@ -622,7 +623,8 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
         details["certifier"] = "class of w is a singleton"
         return IsotermVerdict("certified", w, details=details)
     check = satisfies(M, Identity(w, witness), budget=budget.substitution_budget)
-    assert check.holds, "certifier produced a bad witness"
+    if not check.holds:
+        raise AssertionError("certifier produced a bad witness")
     details["certifier"] = "class of w contains other words"
     return IsotermVerdict("not_isoterm", w, witness=witness, details=details)
 
@@ -867,7 +869,8 @@ def member(
         witness = Identity(c.existing_word, c.new_word)
         holds_b = satisfies(B, witness, budget=budget)
         holds_a = satisfies(A, witness, budget=budget)
-        assert holds_b.holds and not holds_a.holds, "membership witness failed re-verification"
+        if not (holds_b.holds and not holds_a.holds):
+            raise AssertionError("membership witness failed re-verification")
         details["a_values"] = (c.existing_value, c.new_value)
         return MemberVerdict("not_member", witness=witness, details=details)
     if rf is not None and rf.complete:

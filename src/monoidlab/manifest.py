@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .deduction import DerivationError, DerivationScript, bundled_scripts
+from .deduction import DerivationError, DerivationScript, bundled_script
 from .equations import evaluate, isoterm, member, satisfies
 from .monoids import catalog, find_isomorphism
 from .words import Identity, Word, format_identity, format_word, parse_identity, parse_word
@@ -227,9 +227,10 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
 
 
 def _resolve_script(ref: str) -> DerivationScript:
-    shipped = bundled_scripts()
-    if ref in shipped:
-        return shipped[ref]
+    """A bundled script name first, else a path to a script JSON file."""
+    shipped = bundled_script(ref)
+    if shipped is not None:
+        return shipped
     with open(ref, encoding="utf-8") as handle:
         return DerivationScript.from_json(handle.read())
 

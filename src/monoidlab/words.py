@@ -19,7 +19,7 @@ denotes the empty word.
 This module also builds the structured word families used elsewhere
 (Zimin words and their aligned decompositions, the ``wn_*`` families, and
 the ``sigma`` identity family) and enumerates pattern substitutions
-(`match_pattern`).
+(`match_pattern`, `match_exact`, and the seedable core `extend_match`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "sigma_infinity",
     "match_pattern",
     "match_exact",
+    "extend_match",
 ]
 
 
@@ -447,6 +448,60 @@ def sigma_infinity() -> Identity:
 # ---------------------------------------------------------------------------
 
 
+def extend_match(
+    pat: tuple[str, ...],
+    txt: tuple[str, ...],
+    starts: Iterable[int],
+    end: int | None,
+    bindings: dict[str, tuple[str, ...]],
+    emit,
+    *,
+    minlen: int = 0,
+) -> None:
+    """Backtracking core of the matchers, on letter tuples.
+
+    Matches ``pat`` against ``txt`` from each of ``starts``, extending ``bindings``
+    (variable -> tuple of letters) in place, and calls ``emit(stop)`` once
+    per solution, ``stop`` being where the match ends; when ``end`` is
+    given, only matches ending exactly there count.  Variables bound on
+    entry are fixed images: the caller seeds them to solve several patterns
+    jointly.  ``bindings`` is restored before returning, so ``emit`` must
+    copy what it keeps.  Unbound variables take every length in increasing
+    order (at least ``minlen``), so solutions come in a fixed order.
+    """
+    if end is not None:
+        txt = txt[:end]
+    limit = len(txt)
+    npat = len(pat)
+
+    def rec(pi: int, pos: int) -> None:
+        if pi == npat:
+            if end is None or pos == limit:
+                emit(pos)
+            return
+        c = pat[pi]
+        bound = bindings.get(c)
+        if bound is not None:
+            length = len(bound)
+            if txt[pos : pos + length] == bound:
+                rec(pi + 1, pos + length)
+            return
+        rest_after = 0
+        for d in pat[pi + 1 :]:
+            b = bindings.get(d)
+            rest_after += len(b) if b is not None else minlen
+        max_len = limit - pos - rest_after
+        if max_len < minlen:
+            return
+        for length in range(minlen, max_len + 1):
+            bindings[c] = txt[pos : pos + length]
+            rec(pi + 1, pos + length)
+        del bindings[c]
+
+    for pos in starts:
+        rec(0, pos)
+
+
 def _match_engine(
     pattern: Word,
     text: Word,
@@ -456,48 +511,21 @@ def _match_engine(
 ) -> list[dict[str, Word]]:
     pat = pattern.letters
     txt = text.letters
-    n = len(txt)
     minlen = 1 if nonempty else 0
     seen: set[tuple] = set()
     results: list[dict[str, Word]] = []
+    bindings: dict[str, tuple[str, ...]] = {}
 
-    def min_needed(pi: int, bindings: dict[str, tuple]) -> int:
-        total = 0
-        for c in pat[pi:]:
-            b = bindings.get(c)
-            total += len(b) if b is not None else minlen
-        return total
-
-    def rec(pi: int, pos: int, bindings: dict[str, tuple]) -> None:
-        if pi == len(pat):
-            if full and pos != n:
-                return
-            key = tuple(sorted(bindings.items()))
-            if key not in seen:
-                seen.add(key)
-                results.append({v: Word(b) for v, b in bindings.items()})
-            return
-        c = pat[pi]
-        bound = bindings.get(c)
-        if bound is not None:
-            length = len(bound)
-            if txt[pos : pos + length] == bound:
-                rec(pi + 1, pos + length, bindings)
-            return
-        rest_after = min_needed(pi + 1, bindings)
-        max_len = n - pos - rest_after
-        if max_len < minlen:
-            return
-        for length in range(minlen, max_len + 1):
-            bindings[c] = txt[pos : pos + length]
-            rec(pi + 1, pos + length, bindings)
-        del bindings[c]
+    def emit(_stop: int) -> None:
+        key = tuple(sorted(bindings.items()))
+        if key not in seen:
+            seen.add(key)
+            results.append({v: Word(b) for v, b in bindings.items()})
 
     if full:
-        rec(0, 0, {})
+        extend_match(pat, txt, (0,), len(txt), bindings, emit, minlen=minlen)
     else:
-        for start in range(n + 1):
-            rec(0, start, {})
+        extend_match(pat, txt, range(len(txt) + 1), None, bindings, emit, minlen=minlen)
     results.sort(key=lambda th: tuple(sorted((v, th[v].letters) for v in th)))
     return results
 

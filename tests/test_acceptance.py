@@ -138,15 +138,15 @@ def test_criterion_03():
 
 
 def test_criterion_04():
-    with criterion(4, "all ten bundled derivation scripts re-verify: square "
+    with criterion(4, "all thirteen bundled derivation scripts re-verify: square "
                       "commuting, both triple-collapse branches, block removal, "
-                      "and the chain steps sigma_n -> sigma_(n+1) for n <= 5"):
+                      "and the chain steps sigma_n -> sigma_(n+1) for n <= 8"):
         scripts = bundled_scripts()
         assert sorted(scripts) == [
             "block_collapse", "collapse_triple_via_deletion",
             "collapse_triple_via_square", "commute_squares", "sigma2_to_limit",
             "sigma_step_1", "sigma_step_2", "sigma_step_3", "sigma_step_4",
-            "sigma_step_5",
+            "sigma_step_5", "sigma_step_6", "sigma_step_7", "sigma_step_8",
         ]
         for script in scripts.values():
             script.check()  # raises on any bad link
@@ -158,7 +158,7 @@ def test_criterion_04():
             "x^2 h2 x^2 y^2 = x^2 h2 y^2 x^2")
         assert scripts["sigma2_to_limit"].identity() == sigma_infinity()
         assert sigma(2) in scripts["sigma2_to_limit"].rules
-        for n in range(1, 6):
+        for n in range(1, 9):
             step = scripts[f"sigma_step_{n}"]
             assert step.rules == (sigma(n),)
             assert step.identity() == sigma(n + 1)

@@ -309,15 +309,15 @@ def test_monoid_validate_broken_table(tmp_path):
 def test_verify_paper_bundled():
     result = run("verify-paper")
     assert result.exit_code == 0
-    assert result.output.endswith("36 passed, 0 failed: all expectations met\n")
-    assert result.output.count("PASS") == 36 and "FAIL" not in result.output
+    assert result.output.endswith("39 passed, 0 failed: all expectations met\n")
+    assert result.output.count("PASS") == 39 and "FAIL" not in result.output
 
 
 def test_verify_paper_json():
     result = run("verify-paper", "--json")
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["ok"] is True and data["passed"] == 36 and data["failed"] == 0
+    assert data["ok"] is True and data["passed"] == 39 and data["failed"] == 0
 
 
 def test_verify_paper_custom_manifest(tmp_path):

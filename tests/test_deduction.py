@@ -22,6 +22,7 @@ from monoidlab.deduction import (
     LambdaIdentity,
     PREFIX_CHOICES,
     SigmaClass,
+    bundled_script,
     bundled_scripts,
     canonical_decomposition,
     check_derivation,
@@ -255,6 +256,9 @@ def test_bundled_scripts_verify_and_endpoints():
         "sigma_step_3",
         "sigma_step_4",
         "sigma_step_5",
+        "sigma_step_6",
+        "sigma_step_7",
+        "sigma_step_8",
     ]
     endpoints = {
         "block_collapse": (8, "x^2 h2 x^2 y^2 = x^2 h2 y^2 x^2"),
@@ -273,7 +277,7 @@ def test_bundled_scripts_verify_and_endpoints():
             if ident is not None:
                 assert script.identity() == parse_identity(ident)
     assert scripts["sigma2_to_limit"].identity() == sigma_infinity()
-    for n in range(1, 6):
+    for n in range(1, 9):
         assert scripts[f"sigma_step_{n}"].identity() == sigma(n + 1)
         assert scripts[f"sigma_step_{n}"].rules == (sigma(n),)
 
@@ -290,6 +294,13 @@ def test_bundled_scripts_sound_on_catalog():
                 continue
             endpoint = _holds(model, script.identity())
             assert endpoint is None or endpoint, (name, model)
+
+
+def test_bundled_script_by_name():
+    scripts = bundled_scripts()
+    for name, script in scripts.items():
+        assert bundled_script(name) == script
+    assert bundled_script("no_such_script") is None
 
 
 def test_script_json_roundtrip():

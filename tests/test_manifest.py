@@ -84,7 +84,7 @@ def test_empty_manifest_passes():
 
 def test_bundled_manifest_all_pass():
     entries = parse_manifest(bundled_manifest_text())
-    assert len(entries) == 36
+    assert len(entries) == 39
     kinds = {}
     for e in entries:
         kinds[e.kind] = kinds.get(e.kind, 0) + 1
@@ -95,12 +95,12 @@ def test_bundled_manifest_all_pass():
         "expect-fails": 3,
         "expect-member-verdict": 3,
         "expect-isoterm-verdict": 2,
-        "expect-derivation-valid": 10,
+        "expect-derivation-valid": 13,
     }
     report = run_entries(entries, path="bundled")
     assert report.ok, report.summary_text()
-    assert report.counts == (36, 0)
-    assert report.summary_text().endswith("36 passed, 0 failed: all expectations met")
+    assert report.counts == (39, 0)
+    assert report.summary_text().endswith("39 passed, 0 failed: all expectations met")
 
 
 def test_run_manifest_reads_file(tmp_path):

@@ -17,6 +17,7 @@ from monoidlab.words import (
     Identity,
     Word,
     WordSyntaxError,
+    extend_match,
     format_word,
     format_word_compact,
     ini,
@@ -257,6 +258,30 @@ def test_match_exact():
     }
     for m in solutions:
         assert substitute(W("x y x"), m) == W("a b a b a")
+
+
+def test_extend_match_seeded_and_bounded():
+    text = W("a b a b a").letters
+    solutions = []
+
+    def emit(stop):
+        solutions.append((dict(bindings), stop))
+
+    # A seeded variable is a fixed image; y is solved around it.
+    bindings = {"x": ("a",)}
+    extend_match(W("x y x").letters, text, (0,), 5, bindings, emit)
+    assert solutions == [({"x": ("a",), "y": ("b", "a", "b")}, 5)]
+    assert bindings == {"x": ("a",)}  # restored
+    # Without an end bound every stop counts, shortest images first, and
+    # only the given start positions are tried.
+    solutions.clear()
+    bindings = {"x": ("b",)}
+    extend_match(W("y x").letters, text, (2,), None, bindings, emit)
+    assert solutions == [({"x": ("b",), "y": ("a",)}, 4)]
+    solutions.clear()
+    bindings = {}
+    extend_match(W("y").letters, text, (3,), None, bindings, emit)
+    assert solutions == [({"y": ()}, 3), ({"y": ("b",)}, 4), ({"y": ("b", "a")}, 5)]
 
 
 def test_match_pattern_against_brute_force():

@@ -125,7 +125,7 @@ def main() -> None:
         ],
     )
 
-    for n in range(1, 6):
+    for n in range(1, 9):
         nxt = sigma(n + 1)
         scripts[f"sigma_step_{n}"] = script(
             f"sigma_step_{n}", [sigma(n)], [nxt.lhs, nxt.rhs]
