@@ -26,6 +26,7 @@ import sys
 
 import click
 
+from . import __version__
 from .deduction import (
     DerivationError,
     canonical_decomposition,
@@ -108,7 +109,7 @@ def _parse_word_arg(text: str):
 
 
 @click.group()
-@click.version_option(package_name="monoidlab")
+@click.version_option(version=__version__)
 def main() -> None:
     """Equational reasoning over finite monoids."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .words import (
     EMPTY,
@@ -27,7 +27,6 @@ from .words import (
     format_identity,
     extend_match,
     format_word,
-    match_pattern,
     parse_identity,
     parse_word,
     sigma,
@@ -95,32 +94,6 @@ class DerivationStep:
             f"{format_word(self.source)} => {format_word(self.target)} via {rule}"
             f" with [{sub}] in context ({format_word(self.left)}, {format_word(self.right)})"
         )
-
-
-def _occurrences(text: tuple[str, ...], factor: tuple[str, ...]) -> Iterator[int]:
-    n, m = len(text), len(factor)
-    for i in range(n - m + 1):
-        if text[i : i + m] == factor:
-            yield i
-
-
-def _rule_applications(
-    u: Word, p: Word, q: Word, *, max_length: int | None = None
-) -> Iterator[tuple[Word, dict[str, Word], int]]:
-    """All (result, theta, position) with u = u[:pos]·theta(p)·... rewritten
-    to u[:pos]·theta(q)·..., in deterministic (theta, position) order."""
-    for theta in match_pattern(p, u):
-        image_p = p.substitute(theta)
-        full = {v: theta.get(v, EMPTY) for v in (p.content() | q.content())}
-        image_q = q.substitute(full)
-        if max_length is not None and len(u) - len(image_p) + len(image_q) > max_length:
-            continue
-        for pos in _occurrences(u.letters, image_p.letters):
-            yield (
-                Word(u.letters[:pos] + image_q.letters + u.letters[pos + len(image_p):]),
-                full,
-                pos,
-            )
 
 
 def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -271,13 +244,25 @@ def successors(
     Variables occurring only on the replacement side of a rule are
     instantiated with the empty word (their image is otherwise unbounded);
     the bounded search makes no completeness claim in that case."""
-    out: set[Word] = set()
+    ut = u.letters
+    out: set[tuple[str, ...]] = set()
+    bindings: dict[str, tuple[str, ...]] = {}
+    replacement: tuple[str, ...] = ()
+    start = 0
+
+    def emit(stop: int) -> None:
+        image = tuple(x for c in replacement for x in bindings.get(c, ()))
+        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
+            out.add(ut[:start] + image + ut[stop:])
+
     for rule in rules:
         for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            for result, _theta, _pos in _rule_applications(u, p, q, max_length=max_length):
-                if result != u:
-                    out.add(result)
-    return sorted(out)
+            replacement = q.letters
+            for start in range(len(ut) + 1):
+                extend_match(p.letters, ut, (start,), None, bindings, emit)
+    out.discard(ut)
+    # shortlex on the letter tuples: the order of the Words built from them
+    return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 
 
 # ---------------------------------------------------------------------------

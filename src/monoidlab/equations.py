@@ -4,7 +4,12 @@ Satisfaction is decided by exhaustive substitution with the Cayley table
 applied as a vectorized gather over all assignments at once; the assignment
 space is enumerated in mixed-radix order over the element order, variables
 sorted lexicographically with the *first* variable most significant, and the
-reported witness is always the first failing assignment in that order.
+reported witness is always the first failing assignment in that order.  One
+private kernel, ``_AssignmentSpace``, holds that space: it checks the
+evaluation budget, builds the assignment columns once, evaluates words by
+one table gather per letter and decodes a witness index.  ``satisfies``, the
+isoterm scans, the bounded identity search of ``member`` and ``rel_free``
+all run on it.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,25 +95,42 @@ def evaluate(M: FiniteMonoid, word: Word, assignment: Mapping[str, str]) -> str:
     return M.elements[M.evaluate_indices(indices)]
 
 
-def _assignment_columns(M: FiniteMonoid, variables: Sequence[str]) -> tuple[int, dict[str, np.ndarray]]:
-    n = M.order
-    k = len(variables)
-    total = n ** k
-    base = np.arange(total, dtype=np.int64)
-    cols = {}
-    for j, v in enumerate(variables):
-        period = n ** (k - 1 - j)
-        cols[v] = ((base // period) % n).astype(np.int32)
-    return total, cols
+class _AssignmentSpace:
+    """Every assignment of M's elements to ``variables``, in mixed-radix
+    order: the first variable most significant, elements in table order.
 
+    Raises BudgetExceededError when the n^k assignments exceed ``budget``.
+    """
 
-def _run_word(M: FiniteMonoid, word: Word, total: int, cols: dict[str, np.ndarray]) -> np.ndarray:
-    acc = np.full(total, M.require_identity(), dtype=np.int32)
-    flat = M.flat
-    n = M.order
-    for c in word.letters:
-        acc = flat[acc * n + cols[c]]
-    return acc
+    def __init__(self, M: FiniteMonoid, variables: Sequence[str], budget: int):
+        self.identity = M.require_identity()
+        n, k = M.order, len(variables)
+        self.total = n ** k
+        if self.total > budget:
+            raise BudgetExceededError(
+                f"identity over {k} variables needs {self.total} "
+                f"substitutions in {M.name or 'M'} (budget {budget})"
+            )
+        self.M = M
+        self.variables = tuple(variables)
+        self.shape = (n,) * k
+        # Row j holds variable j's element index; reshape(k, -1) would
+        # fail for k = 0, where the space is the one empty assignment.
+        self.digits = np.indices(self.shape, dtype=np.int32).reshape(k, self.total)
+        self.columns = dict(zip(self.variables, self.digits))
+
+    def values(self, word: Word) -> np.ndarray:
+        """The value of ``word`` under every assignment, in order."""
+        flat, n = self.M.flat, self.M.order
+        acc = np.full(self.total, self.identity, dtype=np.int32)
+        for c in word.letters:
+            acc = flat[acc * n + self.columns[c]]
+        return acc
+
+    def assignment(self, index: int) -> dict[str, str]:
+        """The assignment at ``index``, as variable -> element label."""
+        digits = np.unravel_index(index, self.shape)
+        return {v: self.M.elements[int(d)] for v, d in zip(self.variables, digits)}
 
 
 def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET) -> SatisfactionResult:
@@ -119,33 +141,19 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     mixed-radix enumeration order (variables sorted, first most
     significant, element values in table order).
     """
-    M.require_identity()
-    variables = sorted(ident.variables())
-    n = M.order
-    total = n ** len(variables)
-    if total > budget:
-        raise BudgetExceededError(
-            f"identity over {len(variables)} variables needs {total} "
-            f"substitutions in {M.name or 'M'} (budget {budget})"
-        )
-    total, cols = _assignment_columns(M, variables)
-    lhs = _run_word(M, ident.lhs, total, cols)
-    rhs = _run_word(M, ident.rhs, total, cols)
+    space = _AssignmentSpace(M, sorted(ident.variables()), budget)
+    lhs = space.values(ident.lhs)
+    rhs = space.values(ident.rhs)
     neq = lhs != rhs
     if not neq.any():
-        return SatisfactionResult(holds=True, checked=total)
+        return SatisfactionResult(holds=True, checked=space.total)
     first = int(np.argmax(neq))
-    witness = {}
-    k = len(variables)
-    for j, v in enumerate(variables):
-        period = n ** (k - 1 - j)
-        witness[v] = M.elements[(first // period) % n]
     return SatisfactionResult(
         holds=False,
-        witness=witness,
+        witness=space.assignment(first),
         lhs_value=M.elements[int(lhs[first])],
         rhs_value=M.elements[int(rhs[first])],
-        checked=total,
+        checked=space.total,
     )
 
 
@@ -268,11 +276,9 @@ def rel_free(
     if len(gen_names) != k:
         raise ValueError("generator name list must have length k")
 
-    base = np.arange(dim, dtype=np.int64)
-    gen_cols = []
-    for j in range(k):
-        period = n ** (k - 1 - j)
-        gen_cols.append(((base // period) % n).astype(np.int32))
+    # A list of rows, bound once: indexing the 2-D array on every step
+    # of the search costs measurably more.
+    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits)
     flat = M.flat
 
     tracked = None
@@ -378,33 +384,6 @@ class IsotermVerdict:
     details: dict = field(default_factory=dict)
 
 
-def _equivalence_scan(
-    M: FiniteMonoid, w: Word, candidates: Iterable[Word], *, budget: int
-) -> Word | None:
-    """First candidate != w with M |= w = candidate, else None.
-
-    All candidates must use only variables of w; the assignment columns and
-    the left-hand values are computed once and reused.
-    """
-    variables = sorted(w.content())
-    n = M.order
-    if n ** len(variables) > budget:
-        raise BudgetExceededError("isoterm scan over budget")
-    total, cols = _assignment_columns(M, variables)
-    w_vals = _run_word(M, w, total, cols)
-    flat = M.flat
-    e = M.require_identity()
-    for cand in candidates:
-        if cand == w:
-            continue
-        acc = np.full(total, e, dtype=np.int32)
-        for c in cand.letters:
-            acc = flat[acc * n + cols[c]]
-        if bool(np.array_equal(acc, w_vals)):
-            return cand
-    return None
-
-
 def _perturbations(w: Word) -> list[Word]:
     """Adjacent transpositions, single-letter deletions, duplications."""
     letters = w.letters
@@ -420,14 +399,16 @@ def _perturbations(w: Word) -> list[Word]:
     return sorted(out)
 
 
-def _anagram_witness(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Word | None:
+def _anagram_witness(
+    M: FiniteMonoid, w: Word, budget: IsotermBudget, equivalent: Callable[[Word], bool]
+) -> Word | None:
     """Search same-multiset rearrangements of w for an M-equivalent word.
 
     Candidates are pruned by two-variable projections: the projection of a
     satisfied identity onto any variable pair is satisfied (delete the other
     variables), so any rearrangement whose pair projection is not
     M-equivalent to w's pair projection can be discarded prefix-first.
-    Surviving candidates are verified in full.
+    Surviving candidates are verified in full with ``equivalent``.
     """
     counts = w.occurrences()
     letters = sorted(counts)
@@ -446,22 +427,15 @@ def _anagram_witness(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Word | 
     # letter of the pair, appended at the bit position = length so far).
     allowed_prefixes: list[list[set[int]]] = []
     for a, b in pairs:
-        proj = w.project({a, b})
-        na, nb = counts[a], counts[b]
-        length = na + nb
-        arrangements: list[Word] = []
-        for positions in itertools.combinations(range(length), nb):
-            pos_set = set(positions)
-            arrangements.append(Word(b if i in pos_set else a for i in range(length)))
+        pair_space = _AssignmentSpace(M, (a, b), budget.substitution_budget)
+        proj_values = pair_space.values(w.project({a, b}))
+        length = counts[a] + counts[b]
         good: list[int] = []
-        ok = _equivalence_scan_all(M, proj, arrangements, budget.substitution_budget)
-        for arr, equivalent in zip(arrangements, ok):
-            if equivalent:
-                mask = 0
-                for i, c in enumerate(arr.letters):
-                    if c == b:
-                        mask |= 1 << i
-                good.append(mask)
+        for positions in itertools.combinations(range(length), counts[b]):
+            pos_set = set(positions)
+            arrangement = Word(b if i in pos_set else a for i in range(length))
+            if np.array_equal(pair_space.values(arrangement), proj_values):
+                good.append(sum(1 << i for i in positions))
         prefixes: list[set[int]] = [set() for _ in range(length + 1)]
         low_masks = [(1 << i) - 1 for i in range(length + 1)]
         for mask in good:
@@ -515,32 +489,11 @@ def _anagram_witness(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Word | 
         return False
 
     rec()
-    if not survivors:
-        return None
-    return _equivalence_scan(M, w, sorted(survivors), budget=budget.substitution_budget)
-
-
-def _equivalence_scan_all(
-    M: FiniteMonoid, w: Word, candidates: Sequence[Word], budget: int
-) -> list[bool]:
-    """Vector of M |= w = candidate over a shared assignment space."""
-    var_set = set(w.content())
-    for c in candidates:
-        var_set |= c.content()
-    variables = sorted(var_set)
-    if M.order ** len(variables) > budget:
-        raise BudgetExceededError("pair-class scan over budget")
-    total, cols = _assignment_columns(M, variables)
-    w_vals = _run_word(M, w, total, cols)
-    out = []
-    for cand in candidates:
-        vals = _run_word(M, cand, total, cols)
-        out.append(bool(np.array_equal(vals, w_vals)))
-    return out
+    return next(filter(equivalent, sorted(survivors)), None)
 
 
 def _exhaustive_witness(
-    M: FiniteMonoid, w: Word, budget: IsotermBudget
+    w: Word, budget: IsotermBudget, equivalent: Callable[[Word], bool]
 ) -> tuple[Word | None, int]:
     """Scan all words over content(w) by length; returns (witness, bound)
     where bound is the largest length fully scanned."""
@@ -557,7 +510,7 @@ def _exhaustive_witness(
         if cumulative > budget.enum_words:
             break
         cands = (Word(t) for t in itertools.product(letters, repeat=ell))
-        hit = _equivalence_scan(M, w, cands, budget=budget.substitution_budget)
+        hit = next(filter(equivalent, cands), None)
         if hit is not None:
             return hit, bound
         bound = ell
@@ -576,18 +529,24 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     missing/extra variable would otherwise escape the class).
     """
     budget = budget or IsotermBudget()
-    M.require_identity()
     details: dict = {}
+    # One space over content(w) serves all three falsifier phases; every
+    # candidate uses only w's variables.
+    space = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget)
+    w_values = space.values(w)
 
-    hit = _equivalence_scan(M, w, _perturbations(w), budget=budget.substitution_budget)
+    def equivalent(cand: Word) -> bool:
+        return cand != w and np.array_equal(space.values(cand), w_values)
+
+    hit = next(filter(equivalent, _perturbations(w)), None)
     if hit is not None:
         return IsotermVerdict("not_isoterm", w, witness=hit, details={"phase": "perturbations"})
 
-    anagram_hit = _anagram_witness(M, w, budget)
+    anagram_hit = _anagram_witness(M, w, budget, equivalent)
     if anagram_hit is not None:
         return IsotermVerdict("not_isoterm", w, witness=anagram_hit, details={"phase": "anagrams"})
 
-    exhaustive_hit, bound = _exhaustive_witness(M, w, budget)
+    exhaustive_hit, bound = _exhaustive_witness(w, budget, equivalent)
     if exhaustive_hit is not None:
         return IsotermVerdict("not_isoterm", w, witness=exhaustive_hit, details={"phase": "exhaustive"})
     details["exhausted_length"] = bound
@@ -890,25 +849,32 @@ def member(
 def _bounded_identity_search(
     A: FiniteMonoid, B: FiniteMonoid, *, max_vars: int, max_length: int, budget: int
 ) -> Identity | None:
-    """First identity (in shortlex word order) over up to max_vars variables
-    and sides up to max_length that holds in B and fails in A."""
+    """First identity u = v that holds in B and fails in A, where for some
+    nvars <= max_vars both sides are words of length <= max_length that
+    use every one of x1..x_nvars.
+
+    Smaller nvars are searched first.  Within one nvars, v is the first
+    word in shortlex order whose B-values equal those of the first word u
+    with those B-values while its A-values differ.  Identities whose sides
+    use different variable sets (such as x1^2 x2 = x1^2) are never tried.
+    """
     for nvars in range(1, max_vars + 1):
         variables = [f"x{i+1}" for i in range(nvars)]
-        if B.order ** nvars > budget or A.order ** nvars > budget:
+        try:
+            space_b = _AssignmentSpace(B, variables, budget)
+            space_a = _AssignmentSpace(A, variables, budget)
+        except BudgetExceededError:
             break
-        total_b, cols_b = _assignment_columns(B, variables)
-        total_a, cols_a = _assignment_columns(A, variables)
         words: list[Word] = []
         for ell in range(0, max_length + 1):
             words.extend(Word(t) for t in itertools.product(variables, repeat=ell))
         buckets: dict[bytes, tuple[Word, bytes]] = {}
         for word in words:
-            if word.content() != set(variables) and len(word.content()) < nvars:
-                # only consider words using all nvars variables; fewer-variable
-                # identities were covered at smaller nvars
+            if len(word.content()) < nvars:
+                # only words using every one of x1..x_nvars are paired
                 continue
-            vb = _run_word(B, word, total_b, cols_b).astype(np.int32).tobytes()
-            va = _run_word(A, word, total_a, cols_a).astype(np.int32).tobytes()
+            vb = space_b.values(word).tobytes()
+            va = space_a.values(word).tobytes()
             if vb in buckets:
                 w0, va0 = buckets[vb]
                 if va0 != va:

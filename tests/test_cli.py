@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line interface.
 
-Every command is exercised through click's test runner; assertions pin
-the exit-code contract (0 affirmative, 1 negative/undecided, 2 usage)
-and the exact text of the most load-bearing outputs.
+Every command is exercised through click's test runner (``verify-paper``
+also in a ``python -O`` subprocess); assertions pin the exit-code contract
+(0 affirmative, 1 negative/undecided, 2 usage) and the exact text of the
+most load-bearing outputs.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -317,6 +322,21 @@ def test_verify_paper_json():
     result = run("verify-paper", "--json")
     assert result.exit_code == 0
     data = json.loads(result.output)
+    assert data["ok"] is True and data["passed"] == 39 and data["failed"] == 0
+
+
+def test_verify_paper_json_optimized_interpreter():
+    # python -O strips assert statements: every expectation must still be
+    # re-checked and met without them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "monoidlab.cli", "verify-paper", "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
     assert data["ok"] is True and data["passed"] == 39 and data["failed"] == 0
 
 

@@ -1,5 +1,5 @@
-"""Differential tests of the anchored single-step check against the
-exhaustive search it replaced.
+"""Differential tests of the rule-application engines against the
+exhaustive searches they replaced.
 
 ``oracle_directly_deducible`` is the former body of
 ``deduction.directly_deducible``, kept verbatim: it enumerates every
@@ -8,17 +8,21 @@ first one, in (substitution, position) order, that fits the u -> v
 context.  The anchored search must return the identical step -- rule,
 direction, substitution (with its key order), left and right context -- on
 every input, including ``None`` when no single step exists.
+
+``oracle_successors`` is the former body of ``deduction.successors``: it
+enumerates every substitution with ``match_pattern``, then every position
+of its image in u.  ``successors`` matches from each start of u instead
+and must return the identical list.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from monoidlab.deduction import (
     E1_BASIS,
     DerivationStep,
-    _occurrences,
     bundled_scripts,
     directly_deducible,
     successors,
@@ -33,6 +37,35 @@ from monoidlab.words import (
     parse_word,
     sigma,
 )
+
+
+def _occurrences(text: tuple[str, ...], factor: tuple[str, ...]) -> Iterator[int]:
+    n, m = len(text), len(factor)
+    for i in range(n - m + 1):
+        if text[i : i + m] == factor:
+            yield i
+
+
+def oracle_successors(
+    u: Word, rules: Sequence[Identity], *, max_length: int | None = None
+) -> list[Word]:
+    """All words one rule application away from u, by enumerating every
+    (substitution, position) pair; variables only on the replacement side
+    map to the empty word."""
+    out: set[Word] = set()
+    for rule in rules:
+        for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
+            for theta in match_pattern(p, u):
+                image_p = p.substitute(theta)
+                full = {v: theta.get(v, EMPTY) for v in (p.content() | q.content())}
+                image_q = q.substitute(full)
+                if max_length is not None and len(u) - len(image_p) + len(image_q) > max_length:
+                    continue
+                for pos in _occurrences(u.letters, image_p.letters):
+                    result = Word(u.letters[:pos] + image_q.letters + u.letters[pos + len(image_p):])
+                    if result != u:
+                        out.add(result)
+    return sorted(out)
 
 
 def oracle_directly_deducible(
@@ -225,3 +258,45 @@ def test_one_sided_variables_ordered_by_name_not_position():
     step = _assert_same(parse_word("x"), parse_word("x y z"), rules)
     assert step.theta == {"x": EMPTY, "z": parse_word("y z"), "w": EMPTY}
     assert step.left == parse_word("x") and step.right == EMPTY
+
+
+def _assert_same_successors(u: Word, rules: Sequence[Identity]) -> int:
+    """Compare at every length cap; returns the uncapped successor count."""
+    counts = []
+    for m in (None, len(u), len(u) + 2):
+        got = successors(u, rules, max_length=m)
+        assert got == oracle_successors(u, rules, max_length=m), (u, rules, m)
+        counts.append(len(got))
+    return counts[0]
+
+
+def test_successors_agree_with_oracle_on_seeded_words():
+    rng = random.Random(20261019)
+    scripts = bundled_scripts()
+    rule_sets = RULE_SETS + tuple(
+        s.rules for name, s in scripts.items() if name not in ORACLE_TOO_SLOW
+    )
+    nonempty = 0
+    for i in range(480):
+        nonempty += _assert_same_successors(_random_word(rng), rule_sets[i % len(rule_sets)]) > 0
+    assert nonempty > 180
+    # sigma(5..8) rewrite no word shorter than 8 letters, and the oracle's
+    # cost on them grows about 3x per letter (0.6 s at 7 letters), so
+    # their rules are checked on short words only.
+    for name in ORACLE_TOO_SLOW:
+        for _ in range(8):
+            u = Word(rng.choice("xyz") for _ in range(rng.randint(0, 4)))
+            assert _assert_same_successors(u, scripts[name].rules) == 0
+
+
+def test_successors_agree_with_oracle_on_bundled_script_words():
+    # On sigma_step_4's words the oracle takes about 4 s per length cap.
+    too_slow = ("sigma_step_4",) + ORACLE_TOO_SLOW
+    checked = 0
+    for name, script in bundled_scripts().items():
+        if name in too_slow:
+            continue
+        for u in script.words:
+            _assert_same_successors(u, script.rules)
+            checked += 1
+    assert checked == 65

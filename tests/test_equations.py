@@ -115,17 +115,20 @@ def _brute_satisfies(M, ident):
 def test_satisfies_matches_bruteforce():
     rng = random.Random(20260814)
     monoids = [catalog(n) for n in ("N2^1", "M(x)", "Z3", "B2^1", "E^1")]
-    variables = ["x", "y", "z"]
-    for _ in range(60):
+    variables = ["x", "y", "z", "w"]
+    for i in range(75):
         M = rng.choice(monoids)
-        k = rng.randint(1, 3)
+        k = i % 5  # 0..4 variables; k = 0 is the identity 1 = 1
         vs = variables[:k]
-        lhs = Word(rng.choice(vs) for _ in range(rng.randint(0, 5)))
-        rhs = Word(rng.choice(vs) for _ in range(rng.randint(0, 5)))
+        lhs = Word(rng.choice(vs) for _ in range(rng.randint(0, 5) if k else 0))
+        rhs = Word(rng.choice(vs) for _ in range(rng.randint(0, 5) if k else 0))
         ident = Identity(lhs, rhs)
         got = satisfies(M, ident)
         holds, witness, lv, rv = _brute_satisfies(M, ident)
         assert got.holds == holds
+        assert got.checked == M.order ** len(ident.variables())
+        if k == 0:
+            assert got.holds and got.checked == 1
         if not holds:
             # brute iteration order is the same mixed-radix order, so the
             # witness must agree exactly
