@@ -405,19 +405,21 @@ def derive_bounded(
         status = "cap_reached" if capped else "space_exhausted"
         return DeriveOutcome(script=None, status=status, explored=explored)
 
-    chain_u: list[Word] = []
-    node: Word | None = meet
-    while node is not None:
-        chain_u.append(node)
-        node = parents[0][node]
-    chain_u.reverse()
-    node = parents[1][meet]
-    while node is not None:
-        chain_u.append(node)
-        node = parents[1][node]
-    script = DerivationScript(rules=rules, words=tuple(chain_u))
+    words = _path_to_root(parents[0], meet)[::-1]
+    words += _path_to_root(parents[1], parents[1][meet])
+    script = DerivationScript(rules=rules, words=tuple(words))
     script.check()
     return DeriveOutcome(script=script, status="found", explored=explored)
+
+
+def _path_to_root(parent: Mapping[Word, Word | None], node: Word | None) -> list[Word]:
+    """node, its parent, and so on up to the search root (whose parent is
+    None); empty when node is None."""
+    path: list[Word] = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +521,7 @@ def to_canonical(
         raise DerivationError(
             f"no canonical word reachable from {format_word(w)} within bounds"
         )
-    chain: list[Word] = []
-    node: Word | None = found
-    while node is not None:
-        chain.append(node)
-        node = parent[node]
-    chain.reverse()
+    chain = _path_to_root(parent, found)[::-1]
     script = DerivationScript(rules=rules, words=tuple(chain))
     if len(chain) > 1:
         script.check()

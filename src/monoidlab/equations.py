@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .monoids import FiniteMonoid
-from .words import EMPTY, Identity, Word
+from .monoids import FiniteMonoid, generated_indices
+from .words import Identity, Word
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -263,7 +263,7 @@ def rel_free(
     """
     e = M.require_identity()
     n = M.order
-    if n > 255:
+    if n > 256:
         raise RelFreeCapExceeded("base monoid too large for uint8 tuples")
     dim = n ** k
     if dim > max_dim:
@@ -594,11 +594,10 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
 
     Class words correspond to root-to-target paths through the trimmed
     automaton (states that can still reach the target; every state is
-    reachable by construction).  If the trimmed part is acyclic the paths
-    are streamed in lexicographic order — every descent step lies on some
-    complete path, so the first two emissions cost O(path length).  A cycle
-    in the trimmed part makes the class infinite; a bounded per-length count
-    then locates a second word.
+    reachable by construction).  If the trimmed part is acyclic the least
+    such path other than w is the answer.  A cycle in the trimmed part makes
+    the class infinite; a bounded per-length count then picks a length, and
+    the answer is the least path of that length other than w.
 
     Raises RelFreeCapExceeded if the cyclic-case scan exceeds its step cap.
     """
@@ -650,33 +649,9 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
             break
 
     if not cyclic:
-        # stream root-to-target paths in lexicographic order; need at most two
-        emitted: list[Word] = []
-        path: list[str] = []
-        stack3: list[tuple[int, int]] = [(0, 0)]
-        if target == 0:
-            emitted.append(EMPTY)
-        while stack3 and len(emitted) < 2:
-            s, j = stack3[-1]
-            if j == k:
-                stack3.pop()
-                if path:
-                    path.pop()
-                continue
-            stack3[-1] = (s, j + 1)
-            t = int(trans[s, j])
-            if t < 0 or not co[t]:
-                continue
-            path.append(rf.generators[j])
-            if t == target:
-                emitted.append(Word(path))
-                if len(emitted) >= 2:
-                    break
-            stack3.append((t, 0))
-        for cand in emitted:
-            if cand != w:
-                return cand
-        return None
+        return _least_other_path(
+            rf, w, lambda depth, t: co[t], lambda depth, t: t == target
+        )
 
     # cyclic: the class is infinite; find the least length != |w| (or = |w|
     # with a second word) carrying a class word, by saturated counting
@@ -717,31 +692,44 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
         np.logical_or.at(row, src, reach[r - 1][dst])
         reach[r] = row
 
-    # greedy lex-least extraction with backtracking only along w's prefix
-    skip = w.letters if want == len(w) else None
-    acc: list[str] = []
+    return _least_other_path(
+        rf, w,
+        lambda depth, t: depth <= want and reach[want - depth, t],
+        lambda depth, t: depth == want,
+    )
+
+
+def _least_other_path(
+    rf: RelFree,
+    w: Word,
+    enter: Callable[[int, int], bool],
+    accept: Callable[[int, int], bool],
+) -> Word | None:
+    """The lexicographically least root path of rf, other than w, that ends
+    in a state t at depth d with ``accept(d, t)``, descending only into
+    states with ``enter(d, t)``; None if there is none.
+
+    Callers pass an ``enter`` that holds only on states with an accepted
+    path below them, so the walk backtracks only along w.
+    """
+    k, trans = len(rf.generators), rf.transitions
+    path: list[str] = []
     frames: list[tuple[int, int]] = [(0, 0)]
     while frames:
         s, j = frames[-1]
-        r = want - len(acc)
-        if r == 0:
-            if skip is None or tuple(acc) != skip:
-                return Word(acc)
-            frames.pop()
-            if acc:
-                acc.pop()
-            continue
+        depth = len(frames) - 1
+        if j == 0 and accept(depth, s) and tuple(path) != w.letters:
+            return Word(path)
         if j == k:
             frames.pop()
-            if acc:
-                acc.pop()
+            if path:
+                path.pop()
             continue
         frames[-1] = (s, j + 1)
         t = int(trans[s, j])
-        if t < 0 or not reach[r - 1, t]:
-            continue
-        acc.append(rf.generators[j])
-        frames.append((t, 0))
+        if t >= 0 and enter(depth + 1, t):
+            path.append(rf.generators[j])
+            frames.append((t, 0))
     return None
 
 
@@ -752,28 +740,28 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
 
 def minimal_generating_set(M: FiniteMonoid) -> tuple[str, ...]:
     """Smallest generating set (as a monoid), deterministic: smallest size
-    first, then the lexicographically earliest index combination."""
+    first, then the lexicographically earliest index combination.
+
+    The search starts from the required elements: a != e is required when
+    it is no product b*c with b, c outside {e, a}.  An element is generated
+    by the others iff it is such a product (split a shortest product after
+    its first letter), so every generating set contains every required
+    element.  Among equal-size sets that contain them, index order is
+    decided by the least differing element, an addition, so trying the
+    additions in combination order finds the same set.
+    """
     e = M.require_identity()
     n = M.order
-    candidates = [i for i in range(n) if i != e]
-
-    def generates(combo: tuple[int, ...]) -> bool:
-        closed = {e, *combo}
-        frontier = list(closed)
-        while frontier:
-            new = []
-            for i in list(closed):
-                for j in frontier:
-                    for p in (int(M.table[i, j]), int(M.table[j, i])):
-                        if p not in closed:
-                            closed.add(p)
-                            new.append(p)
-            frontier = new
-        return len(closed) == n
-
-    for size in range(0, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if generates(combo):
+    required, optional = [], []
+    for a in range(n):
+        if a != e:
+            others = [i for i in range(n) if i not in (e, a)]
+            product = (M.table[np.ix_(others, others)] == a).any()
+            (optional if product else required).append(a)
+    for size in range(0, len(optional) + 1):
+        for extra in itertools.combinations(optional, size):
+            combo = sorted(required + list(extra))
+            if len(generated_indices(M, [e, *combo])) == n:
                 return tuple(M.elements[i] for i in combo)
     raise AssertionError("unreachable: full candidate set always generates")
 

@@ -281,9 +281,7 @@ def _figure_four(depth: int) -> Poset:
 def downset(P: Poset, top: str) -> Poset:
     """The sub-poset of all nodes at or below the given node, preserving
     node and cover order."""
-    order, cyclic = _closure(P)
-    if cyclic:
-        raise ValueError(f"cover relation of {P.name!r} has a cycle")
+    order = P.leq_table()
     keep = {n.name for n in P.nodes if order[(n.name, top)]}
     return Poset(
         name=f"{P.name}[<={top}]",
@@ -537,9 +535,7 @@ def check_all_edges(
 def dot_export(P: Poset) -> str:
     """Deterministic DOT rendering with nodes ranked by height (longest
     chain up from a minimal node)."""
-    order, cyclic = _closure(P)
-    if cyclic:
-        raise ValueError(f"cover relation of {P.name!r} has a cycle")
+    P.leq_table()  # raises ValueError on a cycle
     height: dict[str, int] = {}
     remaining = list(P.node_names())
     while remaining:

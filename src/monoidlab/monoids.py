@@ -42,6 +42,7 @@ __all__ = [
     "from_presentation",
     "adjoin_identity",
     "direct_product",
+    "generated_indices",
     "submonoid",
     "rees_quotient",
     "catalog",
@@ -507,24 +508,32 @@ def direct_product(A: FiniteMonoid, B: FiniteMonoid, name: str = "") -> FiniteMo
     return FiniteMonoid(name, labels, table, identity)
 
 
+def generated_indices(M: FiniteMonoid, seeds) -> list[int]:
+    """The indices of the subsemigroup of M generated by the element
+    indices ``seeds`` (the least product-closed set containing them), in
+    increasing order.
+
+    Every product of two or more seeds is a seed times a shorter product,
+    so left-multiplying each element once by every seed reaches them all.
+    """
+    seeds = np.asarray(list(seeds), dtype=np.intp)
+    closed = np.zeros(M.order, dtype=bool)
+    closed[seeds] = True
+    fresh = np.unique(seeds)
+    while fresh.size:
+        products = np.unique(M.table[np.ix_(seeds, fresh)])
+        fresh = products[~closed[products]]
+        closed[fresh] = True
+    return np.flatnonzero(closed).tolist()
+
+
 def submonoid(M: FiniteMonoid, generator_labels, name: str = "") -> FiniteMonoid:
     """The subsemigroup generated by the given elements (plus the identity
     when M is a monoid), with elements kept in M's order."""
     gens = [M.index(g) for g in generator_labels]
-    closed: set[int] = set(gens)
     if M.identity is not None:
-        closed.add(M.identity)
-    frontier = sorted(closed)
-    while frontier:
-        new: set[int] = set()
-        for i in sorted(closed):
-            for j in frontier:
-                for p in (int(M.table[i, j]), int(M.table[j, i])):
-                    if p not in closed:
-                        new.add(p)
-        closed |= new
-        frontier = sorted(new)
-    kept = sorted(closed)
+        gens.append(M.identity)
+    kept = generated_indices(M, gens)
     back = {old: new for new, old in enumerate(kept)}
     table = np.array(
         [[back[int(M.table[i, j])] for j in kept] for i in kept], dtype=np.int32

@@ -9,12 +9,15 @@ implementation against a direct brute-force evaluator.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from monoidlab.equations import (
+    _second_word_in_class,
     BudgetExceededError,
     IsotermBudget,
     RelFreeCapExceeded,
@@ -27,7 +30,14 @@ from monoidlab.equations import (
     satisfies,
     satisfies_all,
 )
-from monoidlab.monoids import catalog, find_isomorphism, submonoid
+from monoidlab.lattice import load_figure
+from monoidlab.monoids import (
+    adjoin_identity,
+    catalog,
+    find_isomorphism,
+    from_presentation,
+    submonoid,
+)
 from monoidlab.words import (
     EMPTY,
     Identity,
@@ -217,6 +227,13 @@ def test_rel_free_matches_bruteforce():
         assert ours == brute_reps
 
 
+def test_rel_free_takes_256_elements():
+    # element indices 0..255 fit the uint8 evaluation tuples
+    rf = rel_free(catalog("Z256"), 1)
+    assert rf.complete and rf.size == 256
+    assert member(catalog("Z2"), catalog("Z256")).kind == "member"
+
+
 def test_rel_free_caps():
     with pytest.raises(RelFreeCapExceeded):
         rel_free(catalog("E^1"), 6, max_dim=1000)  # 6^6 = 46656 > 1000
@@ -251,6 +268,54 @@ def test_minimal_generating_set():
     assert minimal_generating_set(catalog("B2^1")) == ("a", "b")
     assert minimal_generating_set(catalog("Z1")) == ()
     assert minimal_generating_set(catalog("Z6")) == ("a",)
+
+
+def oracle_minimal_generating_set(M):
+    """The generator search before it started from the required elements:
+    every index combination by size, each closed from scratch."""
+    e = M.require_identity()
+    n = M.order
+    candidates = [i for i in range(n) if i != e]
+
+    def generates(combo):
+        closed = {e, *combo}
+        frontier = list(closed)
+        while frontier:
+            new = []
+            for i in list(closed):
+                for j in frontier:
+                    for p in (int(M.table[i, j]), int(M.table[j, i])):
+                        if p not in closed:
+                            closed.add(p)
+                            new.append(p)
+            frontier = new
+        return len(closed) == n
+
+    for size in range(0, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if generates(combo):
+                return tuple(M.elements[i] for i in combo)
+    raise AssertionError("unreachable: full candidate set always generates")
+
+
+# Catalog monoids with an identity used across the tests, then groups and
+# monoids whose required elements alone do not generate.
+_GENERATOR_SEARCH_NAMES = (
+    "Q^1", "E^1", "L2^1", "M(x)", "M(xyxy)", "M(xy)", "M(xyx)", "M(x,xy)",
+    "M(1)", "B2^1", "N6^1", "N2^1", "Z1", "Z2", "Z21",
+    "Z3", "Z4", "Z6", "S3", "A2^1", "O",
+)
+
+
+def test_minimal_generating_set_matches_oracle():
+    monoids = {catalog(name) for name in _GENERATOR_SEARCH_NAMES}
+    for fig in ("Fig1", "Fig2", "Fig3"):
+        for node in load_figure(fig).nodes:
+            if node.generators:
+                monoids.add(node.generator_monoid())
+    assert max(M.order for M in monoids) == 27  # L2^1 x M(x) x R2^1
+    for M in sorted(monoids, key=lambda M: (M.order, M.name)):
+        assert minimal_generating_set(M) == oracle_minimal_generating_set(M), M.name
 
 
 def test_member_positive():
@@ -317,6 +382,179 @@ def test_member_reverse_direction():
 # ---------------------------------------------------------------------------
 # isoterm
 # ---------------------------------------------------------------------------
+
+
+def oracle_second_word_in_class(rf, target, w):
+    """The certifier's class search before it shared one path walker:
+    streams two paths when the trimmed automaton is acyclic, extracts
+    greedily otherwise.  Returns (word or None, whether it was cyclic)."""
+    k = len(rf.generators)
+    size = rf.size
+    trans = rf.transitions
+
+    rev = [[] for _ in range(size)]
+    for s in range(size):
+        for j in range(k):
+            t = int(trans[s, j])
+            if t >= 0:
+                rev[t].append(s)
+    co = np.zeros(size, dtype=bool)
+    stack = [target]
+    co[target] = True
+    while stack:
+        s = stack.pop()
+        for p in rev[s]:
+            if not co[p]:
+                co[p] = True
+                stack.append(p)
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = np.zeros(size, dtype=np.int8)
+    cyclic = False
+    for start in range(size):
+        if not co[start] or color[start] != WHITE:
+            continue
+        stack2 = [(start, 0)]
+        color[start] = GRAY
+        while stack2 and not cyclic:
+            s, j = stack2[-1]
+            if j == k:
+                color[s] = BLACK
+                stack2.pop()
+                continue
+            stack2[-1] = (s, j + 1)
+            t = int(trans[s, j])
+            if t < 0 or not co[t]:
+                continue
+            if color[t] == GRAY:
+                cyclic = True
+            elif color[t] == WHITE:
+                color[t] = GRAY
+                stack2.append((t, 0))
+        if cyclic:
+            break
+
+    if not cyclic:
+        emitted = []
+        path = []
+        stack3 = [(0, 0)]
+        if target == 0:
+            emitted.append(EMPTY)
+        while stack3 and len(emitted) < 2:
+            s, j = stack3[-1]
+            if j == k:
+                stack3.pop()
+                if path:
+                    path.pop()
+                continue
+            stack3[-1] = (s, j + 1)
+            t = int(trans[s, j])
+            if t < 0 or not co[t]:
+                continue
+            path.append(rf.generators[j])
+            if t == target:
+                emitted.append(Word(path))
+                if len(emitted) >= 2:
+                    break
+            stack3.append((t, 0))
+        for cand in emitted:
+            if cand != w:
+                return cand, False
+        return None, False
+
+    src_l, dst_l = [], []
+    for s in range(size):
+        if not co[s]:
+            continue
+        for j in range(k):
+            t = int(trans[s, j])
+            if t >= 0 and co[t]:
+                src_l.append(s)
+                dst_l.append(t)
+    src = np.array(src_l, dtype=np.int64)
+    dst = np.array(dst_l, dtype=np.int64)
+    max_steps = min(len(w) + 3 * size + 2, 200_000)
+    cnt = np.zeros(size, dtype=np.int64)
+    cnt[0] = 1
+    want = None
+    if target == 0 and len(w) != 0:
+        want = 0
+    ell = 0
+    while want is None and ell < max_steps:
+        nxt = np.zeros(size, dtype=np.int64)
+        np.add.at(nxt, dst, cnt[src])
+        cnt = np.minimum(nxt, 4)
+        ell += 1
+        c = int(cnt[target])
+        if c and (ell != len(w) or c >= 2):
+            want = ell
+    if want is None:
+        raise RelFreeCapExceeded("cyclic class scan exceeded step cap")
+
+    reach = np.zeros((want + 1, size), dtype=bool)
+    reach[0, target] = True
+    for r in range(1, want + 1):
+        row = np.zeros(size, dtype=bool)
+        np.logical_or.at(row, src, reach[r - 1][dst])
+        reach[r] = row
+
+    skip = w.letters if want == len(w) else None
+    acc = []
+    frames = [(0, 0)]
+    while frames:
+        s, j = frames[-1]
+        r = want - len(acc)
+        if r == 0:
+            if skip is None or tuple(acc) != skip:
+                return Word(acc), True
+            frames.pop()
+            if acc:
+                acc.pop()
+            continue
+        if j == k:
+            frames.pop()
+            if acc:
+                acc.pop()
+            continue
+        frames[-1] = (s, j + 1)
+        t = int(trans[s, j])
+        if t < 0 or not reach[r - 1, t]:
+            continue
+        acc.append(rf.generators[j])
+        frames.append((t, 0))
+    return None, True
+
+
+def test_second_word_in_class_matches_oracle():
+    # a commutative nilpotent monoid: ab = ba, a^2 = b^3 = 0, plus identity
+    nilpotent = adjoin_identity(from_presentation(
+        ("a", "b"), (("ab", "ba"), ("a^2", "0"), ("b^3", "0")), name="C"
+    ))
+    bases = [catalog(name) for name in (
+        "M(1)", "M(x)", "M(xy)", "M(xyx)", "M(xyxy)", "M(x,xy)", "N2^1",
+        "N6^1", "Z2", "Z3", "Z4", "Z6", "S3", "Q^1", "L2^1", "R2^1", "B2^1",
+        "O", "E^1", "A0^1", "A2^1", "B0^1", "I^1", "J^1", "P2^1",
+    )] + [nilpotent]
+    outcomes = collections.Counter()
+    for M in bases:
+        for k, max_len in ((1, 8), (2, 6)):
+            rf = rel_free(M, k)
+            assert rf.complete
+            words_of = collections.defaultdict(list)
+            for ell in range(max_len + 1):
+                for letters in itertools.product(rf.generators, repeat=ell):
+                    words_of[rf.state_of(Word(letters))].append(Word(letters))
+            for target, words in words_of.items():
+                for w in words[:4]:
+                    expected, cyclic = oracle_second_word_in_class(rf, target, w)
+                    got = _second_word_in_class(rf, target, w)
+                    assert got == expected, (M.name, k, w)
+                    if got is not None:
+                        assert got != w and rf.state_of(got) == target
+                    outcomes[cyclic, got is not None] += 1
+    # both branches ran, and each returned a second word and found none
+    assert set(outcomes) == {(False, False), (False, True), (True, True)}
+    assert sum(outcomes.values()) > 1200
 
 
 def test_isoterm_not_isoterm_cases():

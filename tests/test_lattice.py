@@ -79,6 +79,9 @@ def test_validate_structural_problems():
     nodes = tuple(VarietyNode(n) for n in "abc")
     cyclic = Poset("c", nodes, (("a", "b"), ("b", "c"), ("c", "a")))
     assert any("cycle" in p for p in validate_lattice(cyclic).problems)
+    for func in (lambda P: downset(P, "a"), dot_export):
+        with pytest.raises(ValueError, match="has a cycle"):
+            func(cyclic)
 
     shortcut = Poset("s", nodes, (("a", "b"), ("b", "c"), ("a", "c")))
     assert any("not a cover" in p for p in validate_lattice(shortcut).problems)
