@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 
@@ -35,7 +36,7 @@ from .deduction import (
     sigma_classify,
     to_canonical,
 )
-from .equations import isoterm, member, satisfies
+from .equations import BudgetExceededError, isoterm, member, satisfies
 from .lattice import (
     dot_export,
     figure_names,
@@ -196,13 +197,19 @@ def monoid_adjoin1(target: str, as_json: bool) -> None:
 @click.argument("identity")
 @json_option
 def check_cmd(target: str, identity: str, as_json: bool) -> None:
-    """Decide whether the monoid satisfies "u = v" (exhaustively).
+    """Decide whether the monoid satisfies "u = v".
 
-    Exit 0 if it holds, 1 with the first refuting substitution if not.
+    A factor-word quotient M(W) is decided by factor embeddings, any other
+    monoid by exhaustive substitution; both within the substitution budget.
+    Exit 0 if it holds, 1 with the first refuting substitution if not, or
+    when the n^k substitutions exceed the budget (undecided).
     """
     M = _resolve_monoid(target)
     ident = _parse_identity_arg(identity)
-    res = satisfies(M, ident)
+    try:
+        res = satisfies(M, ident)
+    except BudgetExceededError as exc:
+        _undecided(as_json, exc, {"monoid": M.name, "identity": format_identity(ident)})
     if as_json:
         _emit_json({"monoid": M.name, "identity": format_identity(ident),
                     "holds": res.holds, "checked": res.checked,
@@ -225,11 +232,15 @@ def isoterm_cmd(target: str, word: str, as_json: bool) -> None:
     """Decide whether the word is an isoterm for the monoid.
 
     Exit 0 only for a certified isoterm; 1 when a distinct equivalent
-    word is found (printed) or certification is out of reach.
+    word is found (printed), certification is out of reach, or the
+    substitutions over the word's variables exceed the budget.
     """
     M = _resolve_monoid(target)
     w = _parse_word_arg(word)
-    verdict = isoterm(M, w)
+    try:
+        verdict = isoterm(M, w)
+    except BudgetExceededError as exc:
+        _undecided(as_json, exc, {"monoid": M.name, "word": format_word(w)})
     if as_json:
         _emit_json({"monoid": M.name, "word": format_word(w),
                     "verdict": verdict.kind,
@@ -242,6 +253,14 @@ def isoterm_cmd(target: str, word: str, as_json: bool) -> None:
         click.echo(f"{verdict.kind}: {format_word(w)} ({_details_text(verdict.details)})")
     if verdict.kind != "certified":
         sys.exit(1)
+
+
+def _undecided(as_json: bool, exc: BudgetExceededError, subject: dict) -> NoReturn:
+    """Report a query left undecided by the substitution budget; exit 1."""
+    click.echo(f"undecided: {exc}", err=True)
+    if as_json:
+        _emit_json({**subject, "error": str(exc)})
+    sys.exit(1)
 
 
 def _details_text(details: dict) -> str:

@@ -6,10 +6,22 @@ space is enumerated in mixed-radix order over the element order, variables
 sorted lexicographically with the *first* variable most significant, and the
 reported witness is always the first failing assignment in that order.  One
 private kernel, ``_AssignmentSpace``, holds that space: it checks the
-evaluation budget, builds the assignment columns once, evaluates words by
-one table gather per letter and decodes a witness index.  ``satisfies``, the
-isoterm scans, the bounded identity search of ``member`` and ``rel_free``
-all run on it.
+evaluation budget, builds the assignment columns on first use, evaluates
+words by one table gather per letter and decodes a witness index.
+``satisfies``, the isoterm scans, the bounded identity search of ``member``
+and ``rel_free`` all run on it.
+
+A word-factor quotient M(W) (``rees_quotient``, which records W as the
+monoid's ``factor_words``) needs no scan to decide an identity.  A
+substitution into M(W) that sends no variable to 0 is a map θ from
+variables to words, and a word u then takes the value θ(u) when that is a
+factor of a word of W (the empty word counts) and 0 otherwise.  So M(W) |=
+u = v iff u and v have the same *factor key*: content(u) with the pairs
+(θ, θ(u)) over every θ with θ(u) a factor, found by the pattern matcher
+``words.extend_match`` (Jackson, J. Algebra 2000; Jackson & Sapir, IJAC
+2000).  ``satisfies`` decides by keys after the same budget check and
+scans only to find a failure's witness; the isoterm falsifier phases
+compare keys and never scan.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
@@ -21,6 +33,7 @@ variety membership.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .monoids import FiniteMonoid, generated_indices
-from .words import Identity, Word
+from .words import Identity, Word, extend_match
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -114,10 +127,32 @@ class _AssignmentSpace:
         self.M = M
         self.variables = tuple(variables)
         self.shape = (n,) * k
-        # Row j holds variable j's element index; reshape(k, -1) would
-        # fail for k = 0, where the space is the one empty assignment.
-        self.digits = np.indices(self.shape, dtype=np.int32).reshape(k, self.total)
-        self.columns = dict(zip(self.variables, self.digits))
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        """Row j holds variable j's element index in every assignment.
+
+        Built on first use, so a space that only checks the budget and
+        decides by factor keys never allocates the n^k columns.
+        """
+        # reshape(k, -1) would fail for k = 0, where the space is the one
+        # empty assignment.
+        return np.indices(self.shape, dtype=np.int32).reshape(len(self.shape), self.total)
+
+    @functools.cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.variables, self.digits))
+
+    def same_as(self, w: Word) -> Callable[[Word], bool]:
+        """A test of whether M satisfies w = cand, for words cand over the
+        space's variables: by factor keys when M is a word-factor quotient,
+        otherwise by value vectors over the whole space."""
+        texts = _factor_texts(self.M)
+        if texts is not None:
+            w_key = _factor_key(texts, w)
+            return lambda cand: _factor_key(texts, cand) == w_key
+        w_values = self.values(w)
+        return lambda cand: np.array_equal(self.values(cand), w_values)
 
     def values(self, word: Word) -> np.ndarray:
         """The value of ``word`` under every assignment, in order."""
@@ -133,15 +168,62 @@ class _AssignmentSpace:
         return {v: self.M.elements[int(d)] for v, d in zip(self.variables, digits)}
 
 
+def _factor_texts(M: FiniteMonoid) -> list[tuple[str, ...]] | None:
+    """For a word-factor quotient M(W): the suffixes of words of W that are
+    no prefix of another such suffix, or None for any other M.  Every
+    factor of W is a prefix of one of them, so matching from their first
+    letter alone finds every factor embedding, without searching again
+    from each later occurrence of a repeated factor."""
+    if M.factor_words is None:
+        return None
+    suffixes = {w.letters[i:] for w in M.factor_words for i in range(len(w))}
+    return [s for s in suffixes if not any(t[: len(s)] == s != t for t in suffixes)]
+
+
+def _factor_key(texts: Sequence[tuple[str, ...]], word: Word) -> tuple:
+    """The factor key of ``word`` over M(W), W's texts per ``_factor_texts``.
+
+    The key is content(word) with the set of pairs (θ, θ(word)) over every
+    θ (each variable of ``word`` to a word) with θ(word) a factor of a word
+    of W, the empty word included.  A substitution that sends a variable to
+    0 sends both sides of an identity to 0; any other one is such a θ for a
+    side exactly when that side's value is not 0, and then the value is
+    θ(side).  So M(W) |= u = v iff u and v have equal keys.  The θ are the
+    factor embeddings that ``words.extend_match`` enumerates.  The content
+    stands for the all-empty θ, which no text finds when W has no nonempty
+    word: substituting 0 for a variable in one side only separates sides
+    with different contents even in M(W) = {1, 0}.
+    """
+    variables = sorted(word.content())
+    pairs: set[tuple] = set()
+    bindings: dict[str, tuple[str, ...]] = {}
+    image = bindings.__getitem__
+
+    def emit(stop: int) -> None:
+        pairs.add((tuple(map(image, variables)), txt[:stop]))
+
+    for txt in texts:
+        extend_match(word.letters, txt, (0,), None, bindings, emit)
+    return tuple(variables), pairs
+
+
 def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET) -> SatisfactionResult:
-    """Decide M |= ident by exhaustive substitution (vectorized).
+    """Decide M |= ident.
 
     Raises BudgetExceededError when the assignment space n^k exceeds the
-    budget.  On failure the witness is the first failing assignment in
-    mixed-radix enumeration order (variables sorted, first most
-    significant, element values in table order).
+    budget, for every M.  A word-factor quotient M(W) (a monoid built by
+    ``rees_quotient``) is decided by comparing the sides' factor keys, with
+    no n^k array when the identity holds.  Any other M is decided by
+    exhaustive substitution (vectorized), and so is a failure in M(W), to
+    find its witness: the first failing assignment in mixed-radix
+    enumeration order (variables sorted, first most significant, element
+    values in table order).  ``checked`` is the number of substitutions n^k
+    the verdict covers, whichever way it was reached.
     """
     space = _AssignmentSpace(M, sorted(ident.variables()), budget)
+    texts = _factor_texts(M)
+    if texts is not None and _factor_key(texts, ident.lhs) == _factor_key(texts, ident.rhs):
+        return SatisfactionResult(holds=True, checked=space.total)
     lhs = space.values(ident.lhs)
     rhs = space.values(ident.rhs)
     neq = lhs != rhs
@@ -427,14 +509,13 @@ def _anagram_witness(
     # letter of the pair, appended at the bit position = length so far).
     allowed_prefixes: list[list[set[int]]] = []
     for a, b in pairs:
-        pair_space = _AssignmentSpace(M, (a, b), budget.substitution_budget)
-        proj_values = pair_space.values(w.project({a, b}))
+        same = _AssignmentSpace(M, (a, b), budget.substitution_budget).same_as(w.project({a, b}))
         length = counts[a] + counts[b]
         good: list[int] = []
         for positions in itertools.combinations(range(length), counts[b]):
             pos_set = set(positions)
             arrangement = Word(b if i in pos_set else a for i in range(length))
-            if np.array_equal(pair_space.values(arrangement), proj_values):
+            if same(arrangement):
                 good.append(sum(1 << i for i in positions))
         prefixes: list[set[int]] = [set() for _ in range(length + 1)]
         low_masks = [(1 << i) - 1 for i in range(length + 1)]
@@ -533,10 +614,10 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     # One space over content(w) serves all three falsifier phases; every
     # candidate uses only w's variables.
     space = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget)
-    w_values = space.values(w)
+    same = space.same_as(w)
 
     def equivalent(cand: Word) -> bool:
-        return cand != w and np.array_equal(space.values(cand), w_values)
+        return cand != w and same(cand)
 
     hit = next(filter(equivalent, _perturbations(w)), None)
     if hit is not None:

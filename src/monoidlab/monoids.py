@@ -76,11 +76,16 @@ class FiniteMonoid:
 
     ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  Instances
     are treated as immutable; do not mutate ``table`` after construction.
+
+    ``factor_words`` is set only by ``rees_quotient``: the words W whose
+    factor quotient M(W) this is, which lets identities be decided by factor
+    embeddings (see ``equations``).  It is provenance, not structure: it is
+    no part of equality or hashing, and derived monoids do not carry it.
     """
 
-    __slots__ = ("name", "elements", "table", "identity", "_index", "_flat")
+    __slots__ = ("name", "elements", "table", "identity", "factor_words", "_index", "_flat")
 
-    def __init__(self, name, elements, table, identity=None):
+    def __init__(self, name, elements, table, identity=None, *, factor_words=None):
         elements = tuple(str(e) for e in elements)
         n = len(elements)
         if n == 0:
@@ -105,6 +110,7 @@ class FiniteMonoid:
         self.elements = elements
         self.table = table
         self.identity = identity
+        self.factor_words = None if factor_words is None else tuple(factor_words)
         self._index = {label: i for i, label in enumerate(elements)}
         self._flat = None
 
@@ -546,7 +552,8 @@ def submonoid(M: FiniteMonoid, generator_labels, name: str = "") -> FiniteMonoid
 def rees_quotient(factor_words, name: str = "") -> FiniteMonoid:
     """The factor-word quotient of a finite set of words: elements are the
     identity, all nonempty factors of the given words, and an absorbing
-    zero; products falling outside the factor set collapse to zero."""
+    zero; products falling outside the factor set collapse to zero.  The
+    words are kept as the result's ``factor_words``."""
     wordlist = []
     for w in factor_words:
         wordlist.append(parse_word(w) if isinstance(w, str) else w)
@@ -573,7 +580,7 @@ def rees_quotient(factor_words, name: str = "") -> FiniteMonoid:
     table[:, zero] = zero
     if not name:
         name = "M(" + ",".join(format_word_compact(w) for w in wordlist) + ")"
-    return FiniteMonoid(name, elements, table, identity=0)
+    return FiniteMonoid(name, elements, table, identity=0, factor_words=wordlist)
 
 
 # ---------------------------------------------------------------------------

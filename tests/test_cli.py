@@ -58,6 +58,30 @@ def test_check_json():
     assert data["checked"] == 36
 
 
+OVER_BUDGET = "x1 x2 x3 x4 x5 x6 x7 x8 = x2 x1 x3 x4 x5 x6 x7 x8"  # 9^8 > 10^7 in M(xyxy)
+BUDGET_TEXT = "identity over 8 variables needs 43046721 substitutions in M(xyxy) (budget 10000000)"
+
+
+@pytest.mark.parametrize(
+    "args, subject",
+    [
+        (("check", "M(xyxy)", OVER_BUDGET), {"identity": OVER_BUDGET}),
+        (("isoterm", "M(xyxy)", OVER_BUDGET.split(" = ")[0]),
+         {"word": OVER_BUDGET.split(" = ")[0]}),
+    ],
+)
+def test_over_budget_is_undecided(args, subject):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"undecided: {BUDGET_TEXT}\n"
+
+    result = run(args[0], "--json", *args[1:])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout) == {"monoid": "M(xyxy)", "error": BUDGET_TEXT, **subject}
+    assert result.stderr == f"undecided: {BUDGET_TEXT}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from monoidlab.equations import (
+    _AssignmentSpace,
+    _factor_key,
+    _factor_texts,
     _second_word_in_class,
     BudgetExceededError,
     IsotermBudget,
@@ -35,7 +38,10 @@ from monoidlab.monoids import (
     adjoin_identity,
     catalog,
     find_isomorphism,
+    format_monoid_text,
     from_presentation,
+    parse_monoid_text,
+    rees_quotient,
     submonoid,
 )
 from monoidlab.words import (
@@ -152,6 +158,90 @@ def test_satisfies_budget():
         satisfies(E1, sigma(2), budget=1000)  # 4 variables -> 1296 > 1000
     with pytest.raises(BudgetExceededError):
         satisfies(E1, zimin_identity(9))
+
+
+def _seeded_identities(seed, count):
+    """Identities over 0-4 variables: half with v a one-letter edit of u
+    (swap, deletion or duplication), which often hold in M(W); half with
+    an independent v."""
+    rng = random.Random(seed)
+    variables = ["x", "y", "z", "w"]
+    out = []
+    for i in range(count):
+        vs = variables[: i % 5]
+        u = [rng.choice(vs) for _ in range(rng.randint(0, 7) if vs else 0)]
+        if i % 2 and u:
+            v = list(u)
+            j = rng.randrange(len(v))
+            edit = rng.randrange(3)
+            if edit == 0:
+                v[j], v[-1] = v[-1], v[j]
+            elif edit == 1:
+                del v[j]
+            else:
+                v.insert(j, v[j])
+        else:
+            v = [rng.choice(vs) for _ in range(rng.randint(0, 7) if vs else 0)]
+        out.append(Identity(Word(u), Word(v)))
+    return out
+
+
+def test_factor_key_decision_matches_exhaustive_path():
+    # A monoid parsed from its own text is the same table without
+    # factor_words, so satisfies runs the exhaustive kernel on it.
+    idents = _seeded_identities(20261018, 300)
+    for M in (catalog("M(x)"), catalog("M(xyxy)"), catalog("M(xy,yx)"), rees_quotient([])):
+        plain = parse_monoid_text(format_monoid_text(M))
+        assert M.factor_words is not None and plain.factor_words is None
+        verdicts = collections.Counter()
+        for ident in idents:
+            got, want = satisfies(M, ident), satisfies(plain, ident)
+            assert (got.holds, got.witness, got.lhs_value, got.rhs_value, got.checked) == (
+                want.holds, want.witness, want.lhs_value, want.rhs_value, want.checked
+            ), (M.name, str(ident))
+            verdicts[got.holds] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20, (M.name, verdicts)
+
+
+def test_factor_key_partition_matches_value_vectors():
+    # Equal partitions of every word of length <= 6 over x, y, z: the
+    # factor keys and the value vectors over all 3^n assignments agree on
+    # every pair of words, those with different contents included.
+    variables = ("x", "y", "z")
+    words = [Word(t) for ell in range(7) for t in itertools.product(variables, repeat=ell)]
+
+    def partition(label):
+        classes = collections.defaultdict(set)
+        for word in words:
+            classes[label(word)].add(word)
+        return {frozenset(c) for c in classes.values()}
+
+    # In M(x y^2) the factor y^2 is no prefix of the word even after
+    # renaming letters, so a key that only embedded into prefixes would
+    # wrongly make x^2 = x^3 hold there.
+    for name in ("M()", "M(1)", "M(x)", "M(xy)", "M(xyx)", "M(xyxy)", "M(xy,yx)", "M(xyx,yy)",
+                 "M(xyy)"):
+        M = catalog(name)
+        space, texts = _AssignmentSpace(M, variables, 10**6), _factor_texts(M)
+
+        def key_label(word):
+            content, pairs = _factor_key(texts, word)
+            return content, frozenset(pairs)
+
+        by_key = partition(key_label)
+        by_values = partition(lambda word: space.values(word).tobytes())
+        assert by_key == by_values, name
+        assert 1 < len(by_key) < len(words), name
+
+
+def test_factor_key_on_the_two_element_quotient():
+    # rees_quotient([]) is {1, 0}: no word of W has a nonempty factor, yet
+    # x = 1 fails (x -> 0).
+    M = rees_quotient([])
+    assert M.elements == ("1", "0")
+    res = satisfies(M, parse_identity("x = 1"))
+    assert not res.holds and res.witness == {"x": "0"}
+    assert satisfies(M, parse_identity("x y = y x^2")).holds
 
 
 def zimin_identity(n):

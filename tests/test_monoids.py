@@ -248,6 +248,26 @@ def test_text_and_json_roundtrip():
         assert monoid_from_json_dict(monoid_to_json_dict(M)) == M
 
 
+def test_factor_words_only_on_rees_quotients():
+    M = catalog("M(xyxy)")
+    assert M.factor_words == (parse_word("x y x y"),)
+    assert rees_quotient(["x y", "y x"]).factor_words == (parse_word("x y"), parse_word("y x"))
+    assert rees_quotient([]).factor_words == ()
+    derived = (
+        adjoin_identity(M),
+        M.opposite(),
+        direct_product(M, M),
+        submonoid(M, ["x"]),
+        parse_monoid_text(format_monoid_text(M)),
+        monoid_from_json_dict(monoid_to_json_dict(M)),
+        catalog("E^1"),
+    )
+    assert all(D.factor_words is None for D in derived)
+    # Provenance only: equality and hashing ignore it.
+    plain = parse_monoid_text(format_monoid_text(M))
+    assert plain == M and hash(plain) == hash(M)
+
+
 def test_parse_monoid_text_errors():
     with pytest.raises(PresentationError):
         parse_monoid_text("monoid X\nelements a\nidentity a\n")
