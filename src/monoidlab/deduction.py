@@ -24,6 +24,7 @@ from .words import (
     EMPTY,
     Identity,
     Word,
+    _common_prefix,
     format_identity,
     extend_match,
     format_word,
@@ -94,14 +95,6 @@ class DerivationStep:
             f"{format_word(self.source)} => {format_word(self.target)} via {rule}"
             f" with [{sub}] in context ({format_word(self.left)}, {format_word(self.right)})"
         )
-
-
-def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
 
 
 def _least_step(

@@ -1,27 +1,48 @@
 """Identity satisfaction, relatively free monoids, isoterms, membership.
 
-Satisfaction is decided by exhaustive substitution with the Cayley table
-applied as a vectorized gather over all assignments at once; the assignment
-space is enumerated in mixed-radix order over the element order, variables
-sorted lexicographically with the *first* variable most significant, and the
-reported witness is always the first failing assignment in that order.  One
-private kernel, ``_AssignmentSpace``, holds that space: it checks the
-evaluation budget, builds the assignment columns on first use, evaluates
-words by one table gather per letter and decodes a witness index.
-``satisfies``, the isoterm scans, the bounded identity search of ``member``
-and ``rel_free`` all run on it.
+``satisfies`` first checks that the n^k assignments of the identity's k
+variables fit the evaluation budget, then decides by one of three paths.
+Whichever decides, a failure's witness is the first failing assignment in
+mixed-radix order over the element order, variables sorted
+lexicographically with the *first* variable most significant, and
+``checked`` is n^k.
 
-A word-factor quotient M(W) (``rees_quotient``, which records W as the
-monoid's ``factor_words``) needs no scan to decide an identity.  A
-substitution into M(W) that sends no variable to 0 is a map θ from
-variables to words, and a word u then takes the value θ(u) when that is a
-factor of a word of W (the empty word counts) and 0 otherwise.  So M(W) |=
-u = v iff u and v have the same *factor key*: content(u) with the pairs
-(θ, θ(u)) over every θ with θ(u) a factor, found by the pattern matcher
-``words.extend_match`` (Jackson, J. Algebra 2000; Jackson & Sapir, IJAC
-2000).  ``satisfies`` decides by keys after the same budget check and
-scans only to find a failure's witness; the isoterm falsifier phases
-compare keys and never scan.
+1. *Factor keys.*  A word-factor quotient M(W) (``rees_quotient``, which
+   records W as the monoid's ``factor_words``) needs no scan to decide an
+   identity.  A substitution into M(W) that sends no variable to 0 is a map
+   θ from variables to words, and a word u then takes the value θ(u) when
+   that is a factor of a word of W (the empty word counts) and 0
+   otherwise.  So M(W) |= u = v iff u and v have the same *factor key*:
+   content(u) with the pairs (θ, θ(u)) over every θ with θ(u) a factor,
+   found by the pattern matcher ``words.extend_match`` (Jackson,
+   J. Algebra 2000; Jackson & Sapir, IJAC 2000).  The second key is
+   compared as it is built and abandoned at its first pair the first key
+   lacks.  A failure in M(W) goes on to path 2 or 3 for its witness.
+2. *Linear-letter elimination.*  Write u = A·u'·B and v = A·v'·B with A
+   and B the longest common prefix and suffix.  A letter that occurs once
+   in u and once in v, inside A or B, is *linear*: it ranges over all of M
+   independently of every other letter (Jackson, J. Algebra 2000).  With C
+   the other letters, M |= u = v iff for every assignment c of C,
+   a·u'(c)·b = a·v'(c)·b for all a in S_A(c) and b in S_B(c), the sets of
+   values A and B take over every choice of their linear letters.  The
+   sets are n-wide boolean masks over the n^|C| assignments of C, built in
+   one pass over A and B.  A failure's witness fixes the variables in
+   sorted order, each to the least element that still has a failing
+   completion: one pass per variable, with it as the leading digit.  The
+   path is taken when there are at least three linear letters, where the
+   n^|C| <= n^(k-3) reduced assignments pay for the n-wide sets.
+3. *The scan.*  Every other identity is decided by exhaustive
+   substitution, with the Cayley table applied as a vectorized gather over
+   all assignments at once.  It is the general path and the oracle the
+   other two are tested against.
+
+One private kernel, ``_AssignmentSpace``, holds an assignment space: it
+checks the evaluation budget, builds the assignment columns on first use,
+evaluates words by one table gather per letter (and value sets by one
+scatter per letter) and decodes a witness index.  ``satisfies``, the
+isoterm scans, the bounded identity search of ``member`` and ``rel_free``
+all run on it; the isoterm falsifier phases over M(W) compare factor keys
+and never scan.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
@@ -42,7 +63,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .monoids import FiniteMonoid, generated_indices
-from .words import Identity, Word, extend_match
+from .words import Identity, Word, _common_prefix, extend_match
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -113,9 +134,14 @@ class _AssignmentSpace:
     order: the first variable most significant, elements in table order.
 
     Raises BudgetExceededError when the n^k assignments exceed ``budget``.
+    Words are evaluated with the letters of ``fixed`` (letter -> element
+    index) held constant.
     """
 
-    def __init__(self, M: FiniteMonoid, variables: Sequence[str], budget: int):
+    def __init__(
+        self, M: FiniteMonoid, variables: Sequence[str], budget: int,
+        fixed: Mapping[str, int] | None = None,
+    ):
         self.identity = M.require_identity()
         n, k = M.order, len(variables)
         self.total = n ** k
@@ -127,6 +153,7 @@ class _AssignmentSpace:
         self.M = M
         self.variables = tuple(variables)
         self.shape = (n,) * k
+        self.fixed = dict(fixed or {})
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
@@ -140,8 +167,8 @@ class _AssignmentSpace:
         return np.indices(self.shape, dtype=np.int32).reshape(len(self.shape), self.total)
 
     @functools.cached_property
-    def columns(self) -> dict[str, np.ndarray]:
-        return dict(zip(self.variables, self.digits))
+    def columns(self) -> dict[str, np.ndarray | int]:
+        return {**dict(zip(self.variables, self.digits)), **self.fixed}
 
     def same_as(self, w: Word) -> Callable[[Word], bool]:
         """A test of whether M satisfies w = cand, for words cand over the
@@ -150,7 +177,7 @@ class _AssignmentSpace:
         texts = _factor_texts(self.M)
         if texts is not None:
             w_key = _factor_key(texts, w)
-            return lambda cand: _factor_key(texts, cand) == w_key
+            return lambda cand: _has_factor_key(texts, cand, w_key)
         w_values = self.values(w)
         return lambda cand: np.array_equal(self.values(cand), w_values)
 
@@ -161,6 +188,30 @@ class _AssignmentSpace:
         for c in word.letters:
             acc = flat[acc * n + self.columns[c]]
         return acc
+
+    def value_sets(self, word: Word, linear: frozenset[str]) -> np.ndarray:
+        """Row r is the set of values ``word`` takes under assignment r and
+        every choice in M of its ``linear`` letters, as an n-wide mask."""
+        n, table = self.M.order, self.M.table
+        sets = np.zeros((self.total, n), dtype=bool)
+        sets[:, self.identity] = True
+        rows = np.arange(0, self.total * n, n)[:, None]
+        for c in word.letters:
+            if c in linear:
+                sets = sets @ self.right_ideals
+            else:
+                hit = np.zeros(self.total * n, dtype=bool)
+                hit[(rows + table[:, self.columns[c]].T)[sets]] = True
+                sets = hit.reshape(self.total, n)
+        return sets
+
+    @functools.cached_property
+    def right_ideals(self) -> np.ndarray:
+        """Entry [s, t] is whether t lies in s·M."""
+        n = self.M.order
+        ideals = np.zeros((n, n), dtype=bool)
+        ideals[np.arange(n)[:, None], self.M.table] = True
+        return ideals
 
     def assignment(self, index: int) -> dict[str, str]:
         """The assignment at ``index``, as variable -> element label."""
@@ -180,6 +231,21 @@ def _factor_texts(M: FiniteMonoid) -> list[tuple[str, ...]] | None:
     return [s for s in suffixes if not any(t[: len(s)] == s != t for t in suffixes)]
 
 
+def _factor_pairs(
+    texts: Sequence[tuple[str, ...]], word: Word, variables: Sequence[str],
+    visit: Callable[[tuple], None],
+) -> None:
+    """Call ``visit`` on each pair (θ on ``variables``, θ(word)) with
+    θ(word) a factor of a word of W, W's texts per ``_factor_texts``."""
+    bindings: dict[str, tuple[str, ...]] = {}
+    image = bindings.__getitem__
+    for txt in texts:
+        extend_match(
+            word.letters, txt, (0,), None, bindings,
+            lambda stop: visit((tuple(map(image, variables)), txt[:stop])),
+        )
+
+
 def _factor_key(texts: Sequence[tuple[str, ...]], word: Word) -> tuple:
     """The factor key of ``word`` over M(W), W's texts per ``_factor_texts``.
 
@@ -194,36 +260,102 @@ def _factor_key(texts: Sequence[tuple[str, ...]], word: Word) -> tuple:
     word: substituting 0 for a variable in one side only separates sides
     with different contents even in M(W) = {1, 0}.
     """
-    variables = sorted(word.content())
+    variables = tuple(sorted(word.content()))
     pairs: set[tuple] = set()
-    bindings: dict[str, tuple[str, ...]] = {}
-    image = bindings.__getitem__
-
-    def emit(stop: int) -> None:
-        pairs.add((tuple(map(image, variables)), txt[:stop]))
-
-    for txt in texts:
-        extend_match(word.letters, txt, (0,), None, bindings, emit)
-    return tuple(variables), pairs
+    _factor_pairs(texts, word, variables, pairs.add)
+    return variables, pairs
 
 
-def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET) -> SatisfactionResult:
-    """Decide M |= ident.
+class _KeyMismatch(Exception):
+    """Raised out of the matcher at the first pair a key lacks."""
 
-    Raises BudgetExceededError when the assignment space n^k exceeds the
-    budget, for every M.  A word-factor quotient M(W) (a monoid built by
-    ``rees_quotient``) is decided by comparing the sides' factor keys, with
-    no n^k array when the identity holds.  Any other M is decided by
-    exhaustive substitution (vectorized), and so is a failure in M(W), to
-    find its witness: the first failing assignment in mixed-radix
-    enumeration order (variables sorted, first most significant, element
-    values in table order).  ``checked`` is the number of substitutions n^k
-    the verdict covers, whichever way it was reached.
-    """
-    space = _AssignmentSpace(M, sorted(ident.variables()), budget)
-    texts = _factor_texts(M)
-    if texts is not None and _factor_key(texts, ident.lhs) == _factor_key(texts, ident.rhs):
+
+def _has_factor_key(texts: Sequence[tuple[str, ...]], word: Word, key: tuple) -> bool:
+    """Whether ``word``'s factor key is ``key``.  A content mismatch
+    rejects before any match, and the first pair that ``key`` lacks stops
+    the matcher; only a word whose pairs all lie in ``key`` is counted in
+    full."""
+    variables, pairs = key
+    if tuple(sorted(word.content())) != variables:
+        return False
+    seen: set[tuple] = set()
+
+    def visit(pair: tuple) -> None:
+        if pair not in pairs:
+            raise _KeyMismatch
+        seen.add(pair)
+
+    try:
+        _factor_pairs(texts, word, variables, visit)
+    except _KeyMismatch:
+        return False
+    return len(seen) == len(pairs)
+
+
+@dataclass(frozen=True)
+class _LinearSplit:
+    """u = prefix·lhs·suffix and v = prefix·rhs·suffix, with prefix and
+    suffix the longest common ones, and the letters that occur once in u
+    and once in v, inside the prefix or the suffix."""
+
+    prefix: Word
+    lhs: Word
+    rhs: Word
+    suffix: Word
+    linear: frozenset[str]
+
+
+def _linear_split(ident: Identity) -> _LinearSplit:
+    u, v = ident.lhs.letters, ident.rhs.letters
+    a = _common_prefix(u, v)
+    b = _common_prefix(u[a:][::-1], v[a:][::-1])
+    shared = u[:a] + u[len(u) - b :]
+    u_count, v_count = ident.lhs.occurrences(), ident.rhs.occurrences()
+    linear = frozenset(c for c in shared if u_count[c] == 1 and v_count[c] == 1)
+    return _LinearSplit(
+        Word(u[:a]), Word(u[a : len(u) - b]), Word(v[a : len(v) - b]),
+        Word(u[len(u) - b :]), linear,
+    )
+
+
+def _elimination_failures(space: _AssignmentSpace, split: _LinearSplit) -> np.ndarray:
+    """Whether each assignment of ``space`` has a failing completion: a
+    choice of the linear letters outside the space and its fixed letters
+    under which the sides differ."""
+    linear = split.linear - space.columns.keys()
+    left = space.value_sets(split.prefix, linear)
+    right = space.value_sets(split.suffix, linear)
+    table = space.M.table
+    lhs = table[:, space.values(split.lhs)].T  # [r, a] = a·u'(r)
+    rhs = table[:, space.values(split.rhs)].T
+    differ = table[lhs] != table[rhs]  # [r, a, b]: a·u'(r)·b vs a·v'(r)·b
+    return (differ & left[:, :, None] & right[:, None, :]).any(axis=(1, 2))
+
+
+def _by_elimination(space: _AssignmentSpace, ident: Identity, split: _LinearSplit) -> SatisfactionResult:
+    """Decide M |= ident over n^|C| assignments of its non-linear letters C;
+    ``space`` is the identity's full space, whose size ``checked`` reports."""
+    M, n = space.M, space.M.order
+    others = [c for c in space.variables if c not in split.linear]
+    if not _elimination_failures(_AssignmentSpace(M, others, space.total), split).any():
         return SatisfactionResult(holds=True, checked=space.total)
+    fixed: dict[str, int] = {}
+    for var in space.variables:
+        free = [var] + [c for c in others if c != var and c not in fixed]
+        fails = _elimination_failures(_AssignmentSpace(M, free, space.total, fixed), split)
+        fixed[var] = int(np.argmax(fails.reshape(n, -1).any(axis=1)))
+    witness = {v: M.elements[i] for v, i in fixed.items()}
+    return SatisfactionResult(
+        holds=False,
+        witness=witness,
+        lhs_value=evaluate(M, ident.lhs, witness),
+        rhs_value=evaluate(M, ident.rhs, witness),
+        checked=space.total,
+    )
+
+
+def _by_scan(space: _AssignmentSpace, ident: Identity) -> SatisfactionResult:
+    """Decide M |= ident by evaluating both sides under every assignment."""
     lhs = space.values(ident.lhs)
     rhs = space.values(ident.rhs)
     neq = lhs != rhs
@@ -233,10 +365,40 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     return SatisfactionResult(
         holds=False,
         witness=space.assignment(first),
-        lhs_value=M.elements[int(lhs[first])],
-        rhs_value=M.elements[int(rhs[first])],
+        lhs_value=space.M.elements[int(lhs[first])],
+        rhs_value=space.M.elements[int(rhs[first])],
         checked=space.total,
     )
+
+
+def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET) -> SatisfactionResult:
+    """Decide M |= ident.
+
+    Raises BudgetExceededError when the assignment space n^k exceeds the
+    budget, for every M and every path below.  Three paths decide (see the
+    module docstring):
+
+    - a word-factor quotient M(W) (built by ``rees_quotient``) compares the
+      sides' factor keys, with no n^k array when the identity holds;
+    - an identity with at least three linear letters (once in each side,
+      inside the longest common prefix or suffix) is decided by eliminating
+      them, over the n^|C| assignments of the other letters C;
+    - any other identity, and a failure in M(W) with fewer than three
+      linear letters, by exhaustive substitution (vectorized).
+
+    A failure's witness is the first failing assignment in mixed-radix
+    enumeration order (variables sorted, first most significant, element
+    values in table order).  ``checked`` is the number of substitutions n^k
+    the verdict covers, whichever path reached it.
+    """
+    space = _AssignmentSpace(M, sorted(ident.variables()), budget)
+    texts = _factor_texts(M)
+    if texts is not None and _has_factor_key(texts, ident.rhs, _factor_key(texts, ident.lhs)):
+        return SatisfactionResult(holds=True, checked=space.total)
+    split = _linear_split(ident)
+    if len(split.linear) >= 3:
+        return _by_elimination(space, ident, split)
+    return _by_scan(space, ident)
 
 
 def satisfies_all(

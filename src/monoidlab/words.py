@@ -226,6 +226,15 @@ def is_factor(u: Word, v: Word) -> bool:
     return u.is_factor_of(v)
 
 
+def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """The length of the longest common prefix of two letter tuples."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 # ---------------------------------------------------------------------------

@@ -18,9 +18,14 @@ import pytest
 
 from monoidlab.equations import (
     _AssignmentSpace,
+    _by_elimination,
+    _by_scan,
     _factor_key,
     _factor_texts,
+    _has_factor_key,
+    _linear_split,
     _second_word_in_class,
+    DEFAULT_BUDGET,
     BudgetExceededError,
     IsotermBudget,
     RelFreeCapExceeded,
@@ -232,6 +237,126 @@ def test_factor_key_partition_matches_value_vectors():
         by_values = partition(lambda word: space.values(word).tobytes())
         assert by_key == by_values, name
         assert 1 < len(by_key) < len(words), name
+
+
+def test_early_exit_key_comparison_matches_full_keys():
+    # _has_factor_key stops at a content mismatch or at the first pair the
+    # key lacks; on every word of length <= 5 over x, y, z it must agree
+    # with comparing the two keys in full, against references drawn from
+    # classes with several words (so both answers occur).
+    variables = ("x", "y", "z")
+    words = [Word(t) for ell in range(6) for t in itertools.product(variables, repeat=ell)]
+    rng = random.Random(20261019)
+    for name in ("M()", "M(x)", "M(xy)", "M(xyxy)", "M(xy,yx)", "M(xyx,yy)", "M(xyy)"):
+        texts = _factor_texts(catalog(name))
+        keys = [_factor_key(texts, word) for word in words]
+        classes = collections.defaultdict(list)
+        for word, (content, pairs) in zip(words, keys):
+            classes[content, frozenset(pairs)].append(word)
+        shared = [ws for ws in classes.values() if len(ws) > 1]
+        answers = collections.Counter()
+        for ref in rng.sample(sorted(min(ws) for ws in shared), min(8, len(shared))):
+            ref_key = _factor_key(texts, ref)
+            for word, key in zip(words, keys):
+                got = _has_factor_key(texts, word, ref_key)
+                assert got == (key == ref_key), (name, str(ref), str(word))
+                answers[got] += 1
+        assert answers[True] > 0 and answers[False] > 0, name
+
+
+#: The catalog monoids that satisfy every rule of E1_BASIS, as in
+#: tests/test_deduction.py.
+BASIS_MODELS = (
+    "Z1", "N2^1", "B0^1", "I^1", "J^1", "L2^1", "Q^1", "E^1", "M(x)", "M(xy)",
+)
+
+
+def _shared_separator_pair(rng: random.Random) -> Identity:
+    """A canonical pair with 3-5 separators h1.. between square blocks over
+    a, b, c, where v redraws or shuffles one block of u, so every separator
+    lies in the shared prefix or suffix; a further redrawn block (one pair
+    in four) takes the separators between the two out of them."""
+    nsep = rng.randint(3, 5)
+    blocks = [rng.sample("abc", rng.choice((0, 1, 1, 2))) for _ in range(nsep + 1)]
+    other = [list(b) for b in blocks]
+    for _ in range(1 if rng.random() < 0.75 else 2):
+        i = rng.randrange(nsep + 1)
+        other[i] = rng.sample(blocks[i], len(blocks[i])) if rng.random() < 0.5 else (
+            rng.sample("abc", rng.randint(0, 2)))
+
+    def assemble(bs):
+        out = []
+        for i, block in enumerate(bs):
+            if i:
+                out.append(f"h{i}")
+            for c in block:
+                out += [c, c]
+        return Word(out)
+
+    return Identity(assemble(blocks), assemble(other))
+
+
+def _shared_context_pair(rng: random.Random) -> Identity:
+    """u = P·X·S and v = P·Y·S for random words P, S over x, y, z and
+    h1..h5 and X, Y over x, y, z, h1: letters once in the context, twice in
+    it, or also in a middle, in either side."""
+    context = ("x", "y", "z", "h1", "h2", "h3", "h4", "h5")
+
+    def draw(letters, most):
+        return [rng.choice(letters) for _ in range(rng.randint(0, most))]
+
+    p, s = draw(context, 7), draw(context, 5)
+    x, y = draw(context[:4], 3), draw(context[:4], 3)
+    return Identity(Word(p + x + s), Word(p + y + s))
+
+
+def test_elimination_matches_exhaustive_scan():
+    # Linear-letter elimination against the scan it replaces, called
+    # directly whatever the number of linear letters, so sigma(1), sigma(2)
+    # and sigma_infinity (one or two linear letters) are covered too.
+    cases = [(m, sigma(n)) for n in range(1, 7) for m in BASIS_MODELS]
+    cases += [(m, sigma_infinity()) for m in BASIS_MODELS]
+    rng = random.Random(20261020)
+    while len(cases) < 70 + 500:
+        draw = _shared_separator_pair if len(cases) % 5 < 3 else _shared_context_pair
+        ident, m = draw(rng), rng.choice(BASIS_MODELS)
+        if catalog(m).order ** len(ident.variables()) <= 300_000:
+            cases.append((m, ident))
+    verdicts = collections.Counter()
+    linear_sizes = collections.Counter()
+    for m, ident in cases:
+        M = catalog(m)
+        try:
+            space = _AssignmentSpace(M, sorted(ident.variables()), DEFAULT_BUDGET)
+        except BudgetExceededError:
+            continue
+        split = _linear_split(ident)
+        got, want = _by_elimination(space, ident, split), _by_scan(space, ident)
+        assert (got.holds, got.witness, got.lhs_value, got.rhs_value, got.checked) == (
+            want.holds, want.witness, want.lhs_value, want.rhs_value, want.checked
+        ), (m, str(ident))
+        assert satisfies(M, ident) == want, (m, str(ident))
+        if not got.holds:
+            assert got.lhs_value == evaluate(M, ident.lhs, got.witness)
+            assert got.rhs_value == evaluate(M, ident.rhs, got.witness)
+            assert got.lhs_value != got.rhs_value
+        verdicts[got.holds] += 1
+        linear_sizes[min(len(split.linear), 3)] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+    assert linear_sizes[3] >= 250 and linear_sizes[0] + linear_sizes[1] + linear_sizes[2] >= 50
+
+
+def test_linear_split():
+    split = _linear_split(sigma(3))
+    assert split.prefix == parse_word("x^2 h1 y^2 h2 x^2 h3")
+    assert (split.lhs, split.rhs, split.suffix) == (
+        parse_word("x^2 y^2"), parse_word("y^2 x^2"), EMPTY)
+    assert split.linear == {"h1", "h2", "h3"}
+    # z occurs twice in the prefix; h once in each side but also in the
+    # middle of v; t once in each side, in the suffix.
+    split = _linear_split(parse_identity("z h z x y t = z h z y h t"))
+    assert (split.prefix, split.suffix) == (parse_word("z h z"), parse_word("t"))
+    assert split.linear == {"t"}
 
 
 def test_factor_key_on_the_two_element_quotient():
@@ -699,3 +824,16 @@ def test_isoterm_anagram_phase():
     assert v.witness != w
     assert sorted(v.witness.letters) == sorted(w.letters)
     assert satisfies(M, Identity(w, v.witness)).holds
+
+
+def test_isoterm_family_word_n4_at_default_budget():
+    # The north star's third end-to-end number.  Pinned to the output of
+    # the exhaustive-key build (about 12 s there); comparing keys with an
+    # early exit decides it in well under a second.
+    v = isoterm(catalog("M(xyxy)"), wn_xyxy(4))
+    assert v.kind == "bounded_only"
+    assert v.bound == 6 and v.witness is None
+    assert v.details == {
+        "exhausted_length": 6,
+        "certifier": "skipped: evaluation tuples have dimension 9^7 = 4782969 > max_dim 20000",
+    }

@@ -1,0 +1,136 @@
+"""Record the benchmark trajectory: write one side of BENCH_<pr>.json.
+
+Measures a checkout of the repository (by default the one holding this
+script) and stores the numbers under a label, keeping the other labels
+already in the file, so the parent commit and a change can be recorded
+side by side:
+
+    python3 tools/bench_record.py --pr N --label parent --root <parent checkout>
+    python3 tools/bench_record.py --pr N --label change
+
+Four sources are recorded, with the checkout's git SHA (and a digest of
+its ``src/monoidlab`` files, which tells uncommitted changes apart):
+
+- ``perfbench``: the last line of ``perfbench/run.py --workload all``
+  (every workload, untraced and traced, each in a fresh process);
+- ``verify_paper_s``: wall time of ``monoidlab verify-paper``, one process;
+- ``tier1``: wall time and summary line of the Tier-1 test suite;
+- ``isoterm_wn_xyxy4``: wall time and verdict of ``isoterm`` on
+  ``wn_xyxy(4)`` over ``M(xyxy)`` at the default budget, in a fresh process.
+
+``perfbench`` runs with seed ``SEED`` for ``SECONDS`` per workload; each
+other timed command runs ``REPEAT`` times, every time is kept, and the
+median is reported beside them.  The file written is ``BENCH_<pr>.json`` at
+the root of this repository.  Nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = pathlib.Path(__file__).resolve().parent
+SEED = 1
+SECONDS = 30
+REPEAT = 3
+
+ISOTERM_RUN = """
+import json, time
+from monoidlab.equations import isoterm
+from monoidlab.monoids import catalog
+from monoidlab.words import wn_xyxy
+start = time.perf_counter()
+v = isoterm(catalog("M(xyxy)"), wn_xyxy(4))
+print(json.dumps({"seconds": time.perf_counter() - start, "kind": v.kind, "bound": v.bound}))
+"""
+
+
+def run(root: pathlib.Path, args: list[str], timeout: float) -> tuple[float, subprocess.CompletedProcess]:
+    """Run ``args`` in ``root`` with its ``src`` on the path; return the
+    wall time and the finished process.  A nonzero exit raises."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(args, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(args)} exited with {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return seconds, proc
+
+
+def timed(root: pathlib.Path, args: list[str], timeout: float) -> dict:
+    times, last = [], None
+    for _ in range(REPEAT):
+        seconds, last = run(root, args, timeout)
+        times.append(seconds)
+    return {"median_s": statistics.median(times), "runs_s": times,
+            "last_line": last.stdout.strip().splitlines()[-1] if last.stdout.strip() else ""}
+
+
+def git_state(root: pathlib.Path) -> dict:
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "monoidlab").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return {"git_sha": git("rev-parse", "HEAD") or None,
+            "worktree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "src_sha256": digest.hexdigest()}
+
+
+def record(root: pathlib.Path) -> dict:
+    py = sys.executable
+    bench = run(root, [py, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+                       "--seconds", str(SECONDS)], timeout=3600)[1]
+    isoterm_runs = [json.loads(run(root, [py, "-c", ISOTERM_RUN], 600)[1].stdout)
+                    for _ in range(REPEAT)]
+    return {
+        **git_state(root),
+        "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
+        "perfbench": {"seed": SEED, "seconds": SECONDS,
+                      "result": json.loads(bench.stdout.splitlines()[-1])},
+        "verify_paper_s": timed(root, [py, "-m", "monoidlab.cli", "verify-paper"], 600),
+        "tier1": timed(root, [py, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                              "-p", "no:cacheprovider"], 3600),
+        "isoterm_wn_xyxy4": {
+            "median_s": statistics.median(r["seconds"] for r in isoterm_runs),
+            "runs_s": [r["seconds"] for r in isoterm_runs],
+            "kind": isoterm_runs[-1]["kind"],
+            "bound": isoterm_runs[-1]["bound"],
+        },
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
+    parser.add_argument("--label", required=True, help="key to store this checkout's numbers under")
+    parser.add_argument("--root", type=pathlib.Path, default=HERE.parent,
+                        help="checkout to measure (default: this repository)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if not (root / "src" / "monoidlab" / "__init__.py").is_file():
+        print(f"no monoidlab sources under {root / 'src'}", file=sys.stderr)
+        return 2
+    out = HERE.parent / f"BENCH_{args.pr}.json"
+    data = json.loads(out.read_text()) if out.exists() else {"pr": args.pr, "runs": {}}
+    data["runs"][args.label] = record(root)
+    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.label} to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
