@@ -58,7 +58,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -458,7 +458,6 @@ class RelFree:
     parent: np.ndarray  # (size,) int32; -1 at the root
     parent_letter: np.ndarray  # (size,) int32; -1 at the root
     conflict: TupleConflict | None = None
-    tracked_values: np.ndarray | None = None
 
     def word_of(self, state: int) -> Word:
         letters: list[str] = []
@@ -490,7 +489,6 @@ def rel_free(
     max_dim: int = 20_000,
     track: FiniteMonoid | None = None,
     track_images: Sequence[str] | None = None,
-    stop_on_conflict: bool = True,
 ) -> RelFree:
     """Build the monoid of k-variable evaluation maps over M.
 
@@ -499,11 +497,11 @@ def rel_free(
     are shortlex-minimal.  With ``track``/``track_images`` every state also
     carries the value of its representative word in the tracked monoid
     under generator i -> track_images[i]; the first tuple collision with a
-    differing tracked value is reported as a conflict.
+    differing tracked value is reported as a conflict and ends the search.
 
     Raises RelFreeCapExceeded if the tuple dimension n^k exceeds ``max_dim``.
-    Returns ``complete=False`` (with whatever was found) if the state count
-    would exceed ``max_states``.
+    Returns ``complete=False`` (with whatever was found) if the search ended
+    at a conflict or the state count would exceed ``max_states``.
     """
     e = M.require_identity()
     n = M.order
@@ -540,11 +538,11 @@ def rel_free(
     parent = [-1]
     parent_letter = [-1]
     transitions: list[list[int]] = [[-1] * k]
-    conflict: TupleConflict | None = None
+    clash: tuple[int, int, int] | None = None  # (found, head, j) of a conflict
     complete = True
 
     head = 0
-    while head < len(vectors):
+    while clash is None and head < len(vectors):
         cur = vectors[head]
         cur32 = cur.astype(np.int32) * n
         for j in range(k):
@@ -554,7 +552,6 @@ def rel_free(
             if found is None:
                 if len(vectors) >= max_states:
                     complete = False
-                    transitions[head][j] = -1
                     continue
                 idx = len(vectors)
                 index[key] = idx
@@ -567,40 +564,29 @@ def rel_free(
                     tracked.append(int(track.table[tracked[head], images[j]]))
             else:
                 transitions[head][j] = found
-                if tracked is not None and conflict is None:
-                    new_val = int(track.table[tracked[head], images[j]])
-                    if new_val != tracked[found]:
-                        rf_tmp = RelFree(
-                            base=M,
-                            generators=gen_names,
-                            complete=False,
-                            size=len(vectors),
-                            transitions=np.array(transitions, dtype=np.int32),
-                            parent=np.array(parent, dtype=np.int32),
-                            parent_letter=np.array(parent_letter, dtype=np.int32),
-                        )
-                        conflict = TupleConflict(
-                            existing_word=rf_tmp.word_of(found),
-                            new_word=rf_tmp.word_of(head) * Word((gen_names[j],)),
-                            existing_value=track.elements[tracked[found]],
-                            new_value=track.elements[new_val],
-                        )
-                        if stop_on_conflict:
-                            rf_tmp.conflict = conflict
-                            return rf_tmp
+                if tracked is not None and track.table[tracked[head], images[j]] != tracked[found]:
+                    clash = (found, head, j)
+                    break
         head += 1
 
-    return RelFree(
+    rf = RelFree(
         base=M,
         generators=gen_names,
-        complete=complete,
+        complete=complete and clash is None,
         size=len(vectors),
         transitions=np.array(transitions, dtype=np.int32),
         parent=np.array(parent, dtype=np.int32),
         parent_letter=np.array(parent_letter, dtype=np.int32),
-        conflict=conflict,
-        tracked_values=np.array(tracked, dtype=np.int32) if tracked is not None else None,
     )
+    if clash is not None:
+        found, head, j = clash
+        rf.conflict = TupleConflict(
+            existing_word=rf.word_of(found),
+            new_word=rf.word_of(head) * Word((gen_names[j],)),
+            existing_value=track.elements[tracked[found]],
+            new_value=track.elements[int(track.table[tracked[head], images[j]])],
+        )
+    return rf
 
 
 # ---------------------------------------------------------------------------
@@ -643,26 +629,23 @@ def _perturbations(w: Word) -> list[Word]:
     return sorted(out)
 
 
-def _anagram_witness(
-    M: FiniteMonoid, w: Word, budget: IsotermBudget, equivalent: Callable[[Word], bool]
-) -> Word | None:
-    """Search same-multiset rearrangements of w for an M-equivalent word.
+def _anagrams(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Iterator[Word]:
+    """The first 4096 same-multiset rearrangements of w, other than w, that
+    survive pruning by two-variable projections, in sorted order.
 
-    Candidates are pruned by two-variable projections: the projection of a
-    satisfied identity onto any variable pair is satisfied (delete the other
-    variables), so any rearrangement whose pair projection is not
-    M-equivalent to w's pair projection can be discarded prefix-first.
-    Surviving candidates are verified in full with ``equivalent``.
+    The projection of a satisfied identity onto any variable pair is
+    satisfied (delete the other variables), so any rearrangement whose pair
+    projection is not M-equivalent to w's pair projection is discarded
+    prefix-first.  Nothing is yielded for fewer than two letters or more
+    than ``anagram_cap`` rearrangements.
     """
     counts = w.occurrences()
     letters = sorted(counts)
     if len(letters) < 2:
-        return None
-    perm_count = math.factorial(len(w))
-    for c in counts.values():
-        perm_count //= math.factorial(c)
+        return
+    perm_count = math.factorial(len(w)) // math.prod(map(math.factorial, counts.values()))
     if perm_count > budget.anagram_cap:
-        return None
+        return
 
     pairs = list(itertools.combinations(letters, 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
@@ -686,139 +669,113 @@ def _anagram_witness(
                 prefixes[ell].add(mask & low_masks[ell])
         allowed_prefixes.append(prefixes)
 
-    # DFS over positions, maintaining per-pair (count, mask).
+    # DFS over positions, maintaining per-pair (count, mask).  Letters are
+    # tried in sorted order, so the leaves come out sorted.
     remaining = dict(counts)
     pair_state = {p: (0, 0) for p in pairs}
     prefix: list[str] = []
-    survivors: list[Word] = []
-    survivor_cap = 4096
 
-    def rec() -> bool:
-        if len(survivors) >= survivor_cap:
-            return True
+    def leaves() -> Iterator[Word]:
         if not any(remaining[c] for c in letters):
-            cand = Word(prefix)
-            if cand != w:
-                survivors.append(cand)
-            return False
+            yield Word(prefix)
+            return
         for c in letters:
             if not remaining[c]:
                 continue
             updates = []
-            feasible = True
             for p in pairs:
                 if c not in p:
                     continue
                 cnt, mask = pair_state[p]
                 new_mask = mask | (1 << cnt) if c == p[1] else mask
                 if new_mask not in allowed_prefixes[pair_id[p]][cnt + 1]:
-                    feasible = False
                     break
                 updates.append((p, (cnt + 1, new_mask)))
-            if not feasible:
-                continue
-            saved = [(p, pair_state[p]) for p, _ in updates]
-            for p, st in updates:
-                pair_state[p] = st
-            remaining[c] -= 1
-            prefix.append(c)
-            stop = rec()
-            prefix.pop()
-            remaining[c] += 1
-            for p, st in saved:
-                pair_state[p] = st
-            if stop:
-                return True
-        return False
+            else:
+                saved = [(p, pair_state[p]) for p, _ in updates]
+                pair_state.update(updates)
+                remaining[c] -= 1
+                prefix.append(c)
+                yield from leaves()
+                prefix.pop()
+                remaining[c] += 1
+                pair_state.update(saved)
 
-    rec()
-    return next(filter(equivalent, sorted(survivors)), None)
+    yield from itertools.islice((leaf for leaf in leaves() if leaf != w), 4096)
 
 
-def _exhaustive_witness(
-    w: Word, budget: IsotermBudget, equivalent: Callable[[Word], bool]
-) -> tuple[Word | None, int]:
-    """Scan all words over content(w) by length; returns (witness, bound)
-    where bound is the largest length fully scanned."""
-    letters = sorted(w.content())
-    k = len(letters)
-    max_len = min(len(w) + budget.enum_extra_length, budget.small_length)
-    bound = -1
-    cumulative = 0
-    for ell in range(0, max_len + 1):
-        count = k ** ell if k else (1 if ell == 0 else 0)
-        if count == 0 and ell > 0:
-            break
-        cumulative += count
-        if cumulative > budget.enum_words:
-            break
-        cands = (Word(t) for t in itertools.product(letters, repeat=ell))
-        hit = next(filter(equivalent, cands), None)
-        if hit is not None:
-            return hit, bound
-        bound = ell
-    return None, bound
+def _exhaustive_bound(k: int, length: int, budget: IsotermBudget) -> int:
+    """The largest length ell such that the words of length <= ell over k
+    letters number at most ``enum_words``, capped at ``length +
+    enum_extra_length`` and ``small_length``, and at 0 when k = 0 (the
+    empty word is then the only word); -1 if not even the empty word fits.
+    """
+    cap = min(length + budget.enum_extra_length, budget.small_length)
+    if k == 0:
+        cap = min(cap, 0)
+    bound, total = -1, 0
+    while bound < cap and total + k ** (bound + 1) <= budget.enum_words:
+        bound += 1
+        total += k ** bound
+    return bound
+
+
+class _CertifierSkipped(Exception):
+    """The isoterm certifier cannot decide; the message says why."""
 
 
 def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) -> IsotermVerdict:
     """Decide whether w is an isoterm for M (no nontrivial identity with w
     on one side holds in M).
 
-    Returns NotIsoterm with a verified witness word, Certified (via the
-    relatively free monoid on content(w): the class of w is a singleton),
-    or BoundedOnly with the exhaustively scanned length bound.  The
-    certifier requires M to have a zero element so that any word equal to w
-    under M must use exactly w's variables (substituting the zero for a
-    missing/extra variable would otherwise escape the class).
+    The falsifier searches one candidate stream, in three named phases,
+    for a word other than w that M makes equal to it: ``perturbations``,
+    ``anagrams`` (pruned rearrangements) and ``exhaustive`` (every word
+    over content(w) of length 0..bound in shortlex order, the bound fixed
+    up front by ``_exhaustive_bound``).  A hit is NotIsoterm's witness.
+    Otherwise the certifier looks for a second word in w's class in the
+    relatively free monoid on content(w) (Certified if there is none).  It
+    requires M to have a zero element so that any word equal to w under M
+    must use exactly w's variables (substituting the zero for a
+    missing/extra variable would otherwise escape the class); when it
+    cannot run, the verdict is BoundedOnly with the scanned bound and
+    ``certifier`` set to ``skipped: <reason>``.
     """
     budget = budget or IsotermBudget()
-    details: dict = {}
-    # One space over content(w) serves all three falsifier phases; every
-    # candidate uses only w's variables.
-    space = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget)
-    same = space.same_as(w)
-
-    def equivalent(cand: Word) -> bool:
-        return cand != w and same(cand)
-
-    hit = next(filter(equivalent, _perturbations(w)), None)
-    if hit is not None:
-        return IsotermVerdict("not_isoterm", w, witness=hit, details={"phase": "perturbations"})
-
-    anagram_hit = _anagram_witness(M, w, budget, equivalent)
-    if anagram_hit is not None:
-        return IsotermVerdict("not_isoterm", w, witness=anagram_hit, details={"phase": "anagrams"})
-
-    exhaustive_hit, bound = _exhaustive_witness(w, budget, equivalent)
-    if exhaustive_hit is not None:
-        return IsotermVerdict("not_isoterm", w, witness=exhaustive_hit, details={"phase": "exhaustive"})
-    details["exhausted_length"] = bound
+    # One equality test over content(w) checks the candidates of every
+    # phase; every candidate uses only w's variables.
+    gens = tuple(sorted(w.content()))
+    same = _AssignmentSpace(M, gens, budget.substitution_budget).same_as(w)
+    bound = _exhaustive_bound(len(gens), len(w), budget)
+    phases = (
+        ("perturbations", _perturbations(w)),
+        ("anagrams", _anagrams(M, w, budget)),
+        ("exhaustive", (Word(t) for ell in range(bound + 1)
+                        for t in itertools.product(gens, repeat=ell))),
+    )
+    for phase, candidates in phases:
+        hit = next((cand for cand in candidates if cand != w and same(cand)), None)
+        if hit is not None:
+            return IsotermVerdict("not_isoterm", w, witness=hit, details={"phase": phase})
+    details: dict = {"exhausted_length": bound}
 
     # Certifier via the relatively free monoid on content(w).
-    zero = M.zero_index()
-    if zero is None or zero == M.identity:
-        details["certifier"] = "skipped: base monoid has no proper zero"
-        return IsotermVerdict("bounded_only", w, bound=bound, details=details)
-    gens = tuple(sorted(w.content()))
     try:
+        zero = M.zero_index()
+        if zero is None or zero == M.identity:
+            raise _CertifierSkipped("base monoid has no proper zero")
         rf = rel_free(
             M, len(gens), generators=gens,
             max_states=budget.max_states, max_dim=budget.max_dim,
         )
-    except RelFreeCapExceeded as exc:
-        details["certifier"] = f"skipped: {exc}"
-        return IsotermVerdict("bounded_only", w, bound=bound, details=details)
-    if not rf.complete:
-        details["certifier"] = "skipped: state cap reached"
-        return IsotermVerdict("bounded_only", w, bound=bound, details=details)
-    details["free_monoid_size"] = rf.size
-
-    target = rf.state_of(w)
-    if target is None:
-        raise AssertionError("a complete free object must contain the word's class")
-    try:
+        if not rf.complete:
+            raise _CertifierSkipped("state cap reached")
+        details["free_monoid_size"] = rf.size
+        target = rf.state_of(w)
+        if target is None:
+            raise AssertionError("a complete free object must contain the word's class")
         witness = _second_word_in_class(rf, target, w)
-    except RelFreeCapExceeded as exc:
+    except (_CertifierSkipped, RelFreeCapExceeded) as exc:
         details["certifier"] = f"skipped: {exc}"
         return IsotermVerdict("bounded_only", w, bound=bound, details=details)
     if witness is None:
@@ -1035,11 +992,13 @@ def member(
     relatively free monoid of B's variety on k generators while tracking
     the A-value of every representative word under x_i -> a_i.  A tuple
     collision with different A-values yields an identity of B's variety
-    that A fails (NotMember, witness re-verifiable).  Completion without
-    conflict proves the assignment x_i -> a_i factors through the free
-    object, i.e. A is a quotient of a submonoid of a power of B (Member).
-    Cap overflow falls back to a bounded identity search; if that also
-    finds nothing the verdict is Unknown.
+    that A fails (NotMember).  Completion without conflict proves the
+    assignment x_i -> a_i factors through the free object, i.e. A is a
+    quotient of a submonoid of a power of B (Member).  Cap overflow falls
+    back to a bounded identity search; if that also finds nothing the
+    verdict is Unknown.  A witness from either route is re-checked with
+    ``satisfies`` (it must hold in B and fail in A) before NotMember is
+    returned.
     """
     A.require_identity()
     B.require_identity()
@@ -1057,24 +1016,22 @@ def member(
     if rf is not None and rf.conflict is not None:
         c = rf.conflict
         witness = Identity(c.existing_word, c.new_word)
-        holds_b = satisfies(B, witness, budget=budget)
-        holds_a = satisfies(A, witness, budget=budget)
-        if not (holds_b.holds and not holds_a.holds):
-            raise AssertionError("membership witness failed re-verification")
         details["a_values"] = (c.existing_value, c.new_value)
-        return MemberVerdict("not_member", witness=witness, details=details)
-    if rf is not None and rf.complete:
+    elif rf is not None and rf.complete:
         details["free_monoid_size"] = rf.size
         return MemberVerdict("member", details=details)
-    if rf is not None:
-        details["relfree"] = "state cap reached"
-
-    found = _bounded_identity_search(
-        A, B, max_vars=fallback_max_vars, max_length=fallback_max_length, budget=budget
-    )
-    if found is not None:
-        return MemberVerdict("not_member", witness=found, details=details)
-    return MemberVerdict("unknown", details=details)
+    else:
+        if rf is not None:
+            details["relfree"] = "state cap reached"
+        witness = _bounded_identity_search(
+            A, B, max_vars=fallback_max_vars, max_length=fallback_max_length, budget=budget
+        )
+        if witness is None:
+            return MemberVerdict("unknown", details=details)
+    # Either route's witness must hold in B and fail in A.
+    if not satisfies(B, witness, budget=budget).holds or satisfies(A, witness, budget=budget).holds:
+        raise AssertionError("membership witness failed re-verification")
+    return MemberVerdict("not_member", witness=witness, details=details)
 
 
 def _bounded_identity_search(

@@ -11,19 +11,24 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from monoidlab import equations
 from monoidlab.equations import (
+    _anagrams,
     _AssignmentSpace,
     _by_elimination,
     _by_scan,
+    _exhaustive_bound,
     _factor_key,
     _factor_texts,
     _has_factor_key,
     _linear_split,
+    _perturbations,
     _second_word_in_class,
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -471,6 +476,21 @@ def test_rel_free_conflict_tracking():
     assert c.existing_value != c.new_value
 
 
+def test_rel_free_conflict_ends_the_search():
+    # The first conflict stops the BFS: the automaton is returned as it
+    # stood, incomplete, with the conflicting transition already recorded.
+    rf = rel_free(catalog("Q^1"), 2, track=catalog("L2^1"), track_images=["a", "b"])
+    assert not rf.complete and rf.size == 14
+    c = rf.conflict
+    assert (c.existing_word, c.existing_value) == (parse_word("x1^2 x2^2"), "a")
+    assert (c.new_word, c.new_value) == (parse_word("x2 x1^2 x2"), "b")
+    assert rf.transitions.tolist() == [
+        [1, 2], [3, 4], [5, 6], [3, 7], [8, 9], [10, 11], [12, 6],
+        [8, 13], [8, 13], [13, 9], [10, 13], [-1, -1], [-1, -1], [-1, -1],
+    ]
+    assert rf.state_of(c.existing_word) == rf.state_of(c.new_word)
+
+
 # ---------------------------------------------------------------------------
 # minimal generating sets and membership
 # ---------------------------------------------------------------------------
@@ -585,6 +605,28 @@ def test_member_negative_matches_bruteforce():
             buckets[key] = w
     assert found is not None
     assert satisfies(B, found).holds and not satisfies(A, found).holds
+
+
+def test_member_fallback_refutation():
+    # max_dim 10 < 6^2 caps rel_free, so the bounded identity search finds
+    # the witness (the same one the conflict route finds uncapped)
+    v = member(catalog("L2^1"), catalog("Q^1"), max_dim=10)
+    assert v.kind == "not_member"
+    assert v.witness == parse_identity("x1^2 x2^2 = x2 x1^2 x2")
+    assert list(v.details.items()) == [
+        ("generators", ["a", "b"]),
+        ("relfree", "capped: evaluation tuples have dimension 6^2 = 36 > max_dim 10"),
+    ]
+
+
+def test_member_rechecks_the_fallback_witness(monkeypatch):
+    # x1 x2 = x1 x2 holds in L2^1, so it refutes nothing
+    monkeypatch.setattr(
+        equations, "_bounded_identity_search",
+        lambda *args, **kwargs: parse_identity("x1 x2 = x1 x2"),
+    )
+    with pytest.raises(AssertionError, match="re-verification"):
+        member(catalog("L2^1"), catalog("Q^1"), max_dim=10)
 
 
 def test_member_reverse_direction():
@@ -802,6 +844,9 @@ def test_isoterm_bounded_only_without_zero():
     v = isoterm(catalog("Z3"), parse_word("x"))
     assert v.kind == "bounded_only"
     assert v.bound == 2
+    assert list(v.details.items()) == [
+        ("exhausted_length", 2), ("certifier", "skipped: base monoid has no proper zero"),
+    ]
     v = isoterm(catalog("Z3"), parse_word("x"), budget=IsotermBudget(enum_extra_length=3))
     assert v.kind == "not_isoterm"
     assert v.witness == parse_word("x^4")
@@ -833,7 +878,218 @@ def test_isoterm_family_word_n4_at_default_budget():
     v = isoterm(catalog("M(xyxy)"), wn_xyxy(4))
     assert v.kind == "bounded_only"
     assert v.bound == 6 and v.witness is None
-    assert v.details == {
-        "exhausted_length": 6,
-        "certifier": "skipped: evaluation tuples have dimension 9^7 = 4782969 > max_dim 20000",
-    }
+    assert list(v.details.items()) == [
+        ("exhausted_length", 6),
+        ("certifier", "skipped: evaluation tuples have dimension 9^7 = 4782969 > max_dim 20000"),
+    ]
+
+
+def test_isoterm_state_cap_exit():
+    v = isoterm(catalog("M(xyxy)"), parse_word("x y x y"), budget=IsotermBudget(max_states=10))
+    assert (v.kind, v.bound, v.witness) == ("bounded_only", 5, None)
+    assert list(v.details.items()) == [
+        ("exhausted_length", 5), ("certifier", "skipped: state cap reached"),
+    ]
+
+
+def test_isoterm_empty_word():
+    # k = 0: the empty word is the only candidate of the exhaustive phase
+    v = isoterm(catalog("Z3"), EMPTY)
+    assert (v.kind, v.bound) == ("bounded_only", 0)
+    assert list(v.details.items()) == [
+        ("exhausted_length", 0), ("certifier", "skipped: base monoid has no proper zero"),
+    ]
+    M = catalog("M(xyxy)")
+    for enum_words, exhausted in ((200_000, 0), (0, -1)):
+        v = isoterm(M, EMPTY, budget=IsotermBudget(enum_words=enum_words))
+        assert v.kind == "certified"
+        assert list(v.details.items()) == [
+            ("exhausted_length", exhausted), ("free_monoid_size", 1),
+            ("certifier", "class of w is a singleton"),
+        ]
+    v = isoterm(M, parse_word("x"), budget=IsotermBudget(enum_words=0))
+    assert v.kind == "certified" and v.details["exhausted_length"] == -1
+
+
+def oracle_anagram_witness(M, w, budget, equivalent):
+    """The anagram phase before it became a lazy stream: collects up to
+    4096 surviving rearrangements other than w, then returns the first
+    sorted one that ``equivalent`` accepts."""
+    counts = w.occurrences()
+    letters = sorted(counts)
+    if len(letters) < 2:
+        return None
+    perm_count = math.factorial(len(w))
+    for c in counts.values():
+        perm_count //= math.factorial(c)
+    if perm_count > budget.anagram_cap:
+        return None
+
+    pairs = list(itertools.combinations(letters, 2))
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    allowed_prefixes = []
+    for a, b in pairs:
+        same = _AssignmentSpace(M, (a, b), budget.substitution_budget).same_as(w.project({a, b}))
+        length = counts[a] + counts[b]
+        good = []
+        for positions in itertools.combinations(range(length), counts[b]):
+            pos_set = set(positions)
+            arrangement = Word(b if i in pos_set else a for i in range(length))
+            if same(arrangement):
+                good.append(sum(1 << i for i in positions))
+        prefixes = [set() for _ in range(length + 1)]
+        low_masks = [(1 << i) - 1 for i in range(length + 1)]
+        for mask in good:
+            for ell in range(length + 1):
+                prefixes[ell].add(mask & low_masks[ell])
+        allowed_prefixes.append(prefixes)
+
+    remaining = dict(counts)
+    pair_state = {p: (0, 0) for p in pairs}
+    prefix = []
+    survivors = []
+    survivor_cap = 4096
+
+    def rec():
+        if len(survivors) >= survivor_cap:
+            return True
+        if not any(remaining[c] for c in letters):
+            cand = Word(prefix)
+            if cand != w:
+                survivors.append(cand)
+            return False
+        for c in letters:
+            if not remaining[c]:
+                continue
+            updates = []
+            feasible = True
+            for p in pairs:
+                if c not in p:
+                    continue
+                cnt, mask = pair_state[p]
+                new_mask = mask | (1 << cnt) if c == p[1] else mask
+                if new_mask not in allowed_prefixes[pair_id[p]][cnt + 1]:
+                    feasible = False
+                    break
+                updates.append((p, (cnt + 1, new_mask)))
+            if not feasible:
+                continue
+            saved = [(p, pair_state[p]) for p, _ in updates]
+            for p, st in updates:
+                pair_state[p] = st
+            remaining[c] -= 1
+            prefix.append(c)
+            stop = rec()
+            prefix.pop()
+            remaining[c] += 1
+            for p, st in saved:
+                pair_state[p] = st
+            if stop:
+                return True
+        return False
+
+    rec()
+    return next(filter(equivalent, sorted(survivors)), None)
+
+
+def oracle_exhaustive_witness(w, budget, equivalent):
+    """The exhaustive phase before its bound was computed up front: scans
+    words over content(w) by length, keeping a running count against
+    ``enum_words``; returns (witness, largest length fully scanned)."""
+    letters = sorted(w.content())
+    k = len(letters)
+    max_len = min(len(w) + budget.enum_extra_length, budget.small_length)
+    bound = -1
+    cumulative = 0
+    for ell in range(0, max_len + 1):
+        count = k ** ell if k else (1 if ell == 0 else 0)
+        if count == 0 and ell > 0:
+            break
+        cumulative += count
+        if cumulative > budget.enum_words:
+            break
+        cands = (Word(t) for t in itertools.product(letters, repeat=ell))
+        hit = next(filter(equivalent, cands), None)
+        if hit is not None:
+            return hit, bound
+        bound = ell
+    return None, bound
+
+
+def test_anagram_stream_matches_oracle():
+    # ``same`` accepts w itself, so a stream that yielded w would differ
+    budget = IsotermBudget()
+    words = [Word(t) for ell in range(7) for t in itertools.product("xyz", repeat=ell)]
+    words += [wn_xyxy(2), wn_xyxy(2, primed=True)]
+    hits = 0
+    for name in ("M(xyxy)", "M(xyx)", "M(xy,yx)", "Q^1", "E^1", "B2^1"):
+        M = catalog(name)
+        for w in words:
+            same = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget).same_as(w)
+            expected = oracle_anagram_witness(M, w, budget, same)
+            assert next(filter(same, _anagrams(M, w, budget)), None) == expected, (name, w)
+            hits += expected is not None
+    assert hits >= 50
+    assert isoterm(catalog("M(xyxy)"), wn_xyxy(2)).witness == parse_word("x0 x1 y z x0 x2 y z x1 x2")
+
+
+def test_anagram_stream_is_the_oracle_survivor_list():
+    # Every candidate, in order, up to the 4096 cap: a commutative monoid
+    # prunes nothing, so x^4 y^4 z^3 (11,550 rearrangements) hits the cap.
+    budget = IsotermBudget()
+    sizes = []
+    for name, text in (("Z2", "x^4 y^4 z^3"), ("M(xyxy)", "x y x y z"), ("Q^1", "x^2 y^2 z")):
+        M, w = catalog(name), parse_word(text)
+        survivors = []
+        oracle_anagram_witness(M, w, budget, lambda cand: survivors.append(cand) and False)
+        assert list(_anagrams(M, w, budget)) == survivors, name
+        assert w not in survivors
+        sizes.append(len(survivors))
+    assert sizes[0] == 4096 and 0 < sizes[1] < 4096 and 0 < sizes[2] < 4096
+
+
+def test_exhaustive_bound_matches_running_loop():
+    never = lambda cand: False  # noqa: E731
+    for k in range(0, 5):
+        for length in ([0] if k == 0 else range(k, k + 6)):
+            w = Word(tuple(f"x{i}" for i in range(k)) + ("x0",) * (length - k))
+            for enum_words in (0, 1, 2, 3, 4, 5, 13, 50, 200, 1093, 200_000):
+                for extra in (0, 1, 3):
+                    for small in (-1, 0, 1, 4, 12):
+                        budget = IsotermBudget(
+                            enum_words=enum_words, enum_extra_length=extra, small_length=small,
+                        )
+                        expected = oracle_exhaustive_witness(w, budget, never)[1]
+                        assert _exhaustive_bound(k, length, budget) == expected, (k, length, budget)
+
+
+def test_isoterm_falsifier_matches_oracles():
+    # The phases in turn, each from its oracle, against isoterm's verdict
+    words = [Word(t) for ell in range(5) for t in itertools.product("xy", repeat=ell)]
+    phases = collections.Counter()
+    for name in ("Z2", "Z3", "S3", "L2^1", "Q^1", "M(x)", "M(xyx)"):
+        M = catalog(name)
+        for w in words:
+            for budget in (IsotermBudget(), IsotermBudget(enum_extra_length=3),
+                           IsotermBudget(enum_words=0), IsotermBudget(enum_words=20)):
+                same = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget).same_as(w)
+
+                def equivalent(cand):
+                    return cand != w and same(cand)
+
+                v = isoterm(M, w, budget=budget)
+                for phase, hit in (
+                    ("perturbations", next(filter(equivalent, _perturbations(w)), None)),
+                    ("anagrams", oracle_anagram_witness(M, w, budget, equivalent)),
+                    ("exhaustive", oracle_exhaustive_witness(w, budget, equivalent)[0]),
+                ):
+                    if hit is not None:
+                        assert (v.kind, v.witness, v.details) == (
+                            "not_isoterm", hit, {"phase": phase}), (name, w)
+                        break
+                else:
+                    assert v.details["exhausted_length"] == oracle_exhaustive_witness(
+                        w, budget, equivalent)[1], (name, w)
+                    phase = v.kind
+                phases[phase] += 1
+    assert set(phases) >= {"perturbations", "anagrams", "exhaustive", "bounded_only", "certified"}
