@@ -48,8 +48,14 @@ A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
 the tuple of its values under all n^k assignments, and the reachable tuples
 are explored breadth-first (so each class representative is the shortlex
-least word evaluating to it).  This powers both the isoterm certifier and
-variety membership.
+least word evaluating to it).  Representatives are closed under taking
+factors, so, as in Froidure & Pin ("Algorithms for computing finite
+semigroups", 1997), most transitions are looked up from the suffix and
+left multiples of states already built; only a transition that could reach
+a new state takes the tuple product, as does any lookup that meets a -1
+(a state skipped by the cap, or a row not yet filled).  Each state's tuple
+is stored once, as its dictionary key.  This powers both the isoterm
+certifier and variety membership.
 """
 
 from __future__ import annotations
@@ -499,6 +505,21 @@ def rel_free(
     under generator i -> track_images[i]; the first tuple collision with a
     differing tracked value is reported as a conflict and ends the search.
 
+    Most transitions are looked up rather than computed (Froidure & Pin,
+    "Algorithms for computing finite semigroups", 1997).  A state u other
+    than the root keeps its first letter b and its suffix s, the state of
+    word(u) without b.  When r = s·x_j was not created from (s, j), the word
+    word(s)·x_j is no representative, so u·x_j = x_b·word(r) is no new
+    state: it is read from ``left`` (the state of x_b·word(v), filled for a
+    whole BFS level once that level's rows are done) and the transitions.
+    For an r created from (s, j) the same lookup ends at u's own entry for
+    x_j, still -1, so it needs no test of its own.  Those transitions, the
+    ones whose r is the root, and any lookup that meets a -1 (a state
+    skipped by the cap, or a row not yet filled) take the tuple product,
+    so the result never depends on the lookups succeeding.  The conflict
+    check runs on every transition either way.  Each state's tuple is kept
+    once, as its ``bytes`` key.
+
     Raises RelFreeCapExceeded if the tuple dimension n^k exceeds ``max_dim``.
     Returns ``complete=False`` (with whatever was found) if the search ended
     at a conflict or the state count would exceed ``max_states``.
@@ -519,61 +540,93 @@ def rel_free(
         raise ValueError("generator name list must have length k")
 
     # A list of rows, bound once: indexing the 2-D array on every step
-    # of the search costs measurably more.
-    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits)
-    flat = M.flat
+    # of the search costs measurably more, and so does a gather through
+    # int32 rather than native indices.  The uint8 table gathers straight
+    # into a tuple's bytes.
+    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits.astype(np.intp))
+    flat = M.flat.astype(np.uint8)
 
     tracked = None
-    images = None
     if track is not None:
         track.require_identity()
         if track_images is None or len(track_images) != k:
             raise ValueError("track_images must give one element of `track` per generator")
         images = [track.index(lbl) for lbl in track_images]
+        track_table = track.table.tolist()
         tracked = [track.identity]
 
-    root = np.full(dim, e, dtype=np.uint8)
-    vectors: list[np.ndarray] = [root]
-    index: dict[bytes, int] = {root.tobytes(): 0}
+    root = np.full(dim, e, dtype=np.uint8).tobytes()
+    keys = [root]  # the tuple of each state, shared with ``index``
+    index: dict[bytes, int] = {root: 0}
     parent = [-1]
     parent_letter = [-1]
+    first = [-1]  # first letter of the representative; -1 at the root
+    suffix = [-1]  # state of the representative without its first letter
     transitions: list[list[int]] = [[-1] * k]
+    unfilled = (-1,) * k
+    # left[v][b] is the state of x_b·word(v): at the root, the root's own
+    # row; at any other state, filled once the state's BFS level is done.
+    left: list[Sequence[int]] = [transitions[0]]
     clash: tuple[int, int, int] | None = None  # (found, head, j) of a conflict
     complete = True
 
     head = 0
-    while clash is None and head < len(vectors):
-        cur = vectors[head]
-        cur32 = cur.astype(np.int32) * n
+    level_start = level_end = 1  # the next level to get its left rows
+    while clash is None and head < len(keys):
+        if head == level_end:
+            # Every row of this level is done, and so is every shorter one.
+            for v in range(level_start, level_end):
+                a = parent_letter[v]
+                left[v] = [transitions[t][a] if t >= 0 else -1 for t in left[parent[v]]]
+            level_start, level_end = level_end, len(keys)
+        row = transitions[head]
+        b = first[head]
+        s = suffix[head]
+        suffix_row = transitions[s] if s >= 0 else unfilled
+        cur = None
         for j in range(k):
-            nxt = flat[cur32 + gen_cols[j]].astype(np.uint8)
-            key = nxt.tobytes()
-            found = index.get(key)
-            if found is None:
-                if len(vectors) >= max_states:
-                    complete = False
+            # u·x_j = x_b·word(r) for r = s·x_j.  If r was created from
+            # (s, j), the chain ends at u's own entry for x_j, still -1, so
+            # only an r reached from elsewhere is ever resolved here.
+            r = suffix_row[j]
+            found = -1
+            if r > 0:
+                t = left[parent[r]][b]
+                if t >= 0:
+                    found = transitions[t][parent_letter[r]]
+            if found < 0:
+                if cur is None:
+                    cur = np.frombuffer(keys[head], dtype=np.uint8).astype(np.intp) * n
+                key = flat.take(cur + gen_cols[j]).tobytes()
+                found = index.get(key)
+                if found is None:
+                    if len(keys) >= max_states:
+                        complete = False
+                        continue
+                    found = len(keys)
+                    index[key] = found
+                    keys.append(key)
+                    parent.append(head)
+                    parent_letter.append(j)
+                    first.append(b if head else j)
+                    suffix.append(r if head else 0)
+                    transitions.append([-1] * k)
+                    left.append(unfilled)
+                    row[j] = found
+                    if tracked is not None:
+                        tracked.append(track_table[tracked[head]][images[j]])
                     continue
-                idx = len(vectors)
-                index[key] = idx
-                vectors.append(nxt)
-                parent.append(head)
-                parent_letter.append(j)
-                transitions.append([-1] * k)
-                transitions[head][j] = idx
-                if tracked is not None:
-                    tracked.append(int(track.table[tracked[head], images[j]]))
-            else:
-                transitions[head][j] = found
-                if tracked is not None and track.table[tracked[head], images[j]] != tracked[found]:
-                    clash = (found, head, j)
-                    break
+            row[j] = found
+            if tracked is not None and track_table[tracked[head]][images[j]] != tracked[found]:
+                clash = (found, head, j)
+                break
         head += 1
 
     rf = RelFree(
         base=M,
         generators=gen_names,
         complete=complete and clash is None,
-        size=len(vectors),
+        size=len(keys),
         transitions=np.array(transitions, dtype=np.int32),
         parent=np.array(parent, dtype=np.int32),
         parent_letter=np.array(parent_letter, dtype=np.int32),
@@ -584,7 +637,7 @@ def rel_free(
             existing_word=rf.word_of(found),
             new_word=rf.word_of(head) * Word((gen_names[j],)),
             existing_value=track.elements[tracked[found]],
-            new_value=track.elements[int(track.table[tracked[head], images[j]])],
+            new_value=track.elements[track_table[tracked[head]][images[j]]],
         )
     return rf
 

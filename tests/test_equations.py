@@ -33,7 +33,9 @@ from monoidlab.equations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     IsotermBudget,
+    RelFree,
     RelFreeCapExceeded,
+    TupleConflict,
     close_under_deletion,
     evaluate,
     isoterm,
@@ -431,20 +433,162 @@ def _brute_relfree(M, k):
                     seen[t] = w2
                     new.append(w2)
         frontier = new
-    return seen
+    return seen, tup
 
 
 def test_rel_free_matches_bruteforce():
-    for name, k in (("M(x)", 1), ("N2^1", 2), ("Z3", 2), ("M(xy)", 2)):
+    for name, k in (("M(x)", 1), ("N2^1", 2), ("Z3", 2), ("M(xy)", 2), ("B2^1", 2), ("M(xyx)", 2)):
         M = catalog(name)
         rf = rel_free(M, k)
-        brute = _brute_relfree(M, k)
+        brute, tup = _brute_relfree(M, k)
         assert rf.complete
         assert rf.size == len(brute)
         # representatives are the shortlex-least words of their classes
         brute_reps = sorted(brute.values())
         ours = sorted(rf.representative_words())
         assert ours == brute_reps
+        # every transition leads to the class of word(s)·x_j
+        for s in range(rf.size):
+            for j, g in enumerate(rf.generators):
+                target = brute[tup(rf.word_of(s) * Word((g,)))]
+                assert rf.word_of(int(rf.transitions[s, j])) == target, (name, s, g)
+
+
+def oracle_rel_free(M, k, *, max_states=300_000, max_dim=20_000, track=None, track_images=None):
+    """``rel_free`` before it looked transitions up: the dense BFS, which
+    takes the tuple product of every (state, generator) pair and keeps a
+    second copy of every tuple in a list."""
+    e = M.require_identity()
+    n = M.order
+    dim = n ** k
+    if dim > max_dim:
+        raise RelFreeCapExceeded(f"{dim} > max_dim {max_dim}")
+    gen_names = tuple(f"x{i + 1}" for i in range(k))
+    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits)
+    flat = M.flat
+
+    tracked = None
+    images = None
+    if track is not None:
+        images = [track.index(lbl) for lbl in track_images]
+        tracked = [track.identity]
+
+    root = np.full(dim, e, dtype=np.uint8)
+    vectors = [root]
+    index = {root.tobytes(): 0}
+    parent = [-1]
+    parent_letter = [-1]
+    transitions = [[-1] * k]
+    clash = None
+    complete = True
+
+    head = 0
+    while clash is None and head < len(vectors):
+        cur = vectors[head]
+        cur32 = cur.astype(np.int32) * n
+        for j in range(k):
+            nxt = flat[cur32 + gen_cols[j]].astype(np.uint8)
+            key = nxt.tobytes()
+            found = index.get(key)
+            if found is None:
+                if len(vectors) >= max_states:
+                    complete = False
+                    continue
+                idx = len(vectors)
+                index[key] = idx
+                vectors.append(nxt)
+                parent.append(head)
+                parent_letter.append(j)
+                transitions.append([-1] * k)
+                transitions[head][j] = idx
+                if tracked is not None:
+                    tracked.append(int(track.table[tracked[head], images[j]]))
+            else:
+                transitions[head][j] = found
+                if tracked is not None and track.table[tracked[head], images[j]] != tracked[found]:
+                    clash = (found, head, j)
+                    break
+        head += 1
+
+    rf = RelFree(
+        base=M,
+        generators=gen_names,
+        complete=complete and clash is None,
+        size=len(vectors),
+        transitions=np.array(transitions, dtype=np.int32),
+        parent=np.array(parent, dtype=np.int32),
+        parent_letter=np.array(parent_letter, dtype=np.int32),
+    )
+    if clash is not None:
+        found, head, j = clash
+        rf.conflict = TupleConflict(
+            existing_word=rf.word_of(found),
+            new_word=rf.word_of(head) * Word((gen_names[j],)),
+            existing_value=track.elements[tracked[found]],
+            new_value=track.elements[int(track.table[tracked[head], images[j]])],
+        )
+    return rf
+
+
+RELFREE_MONOIDS = (
+    "N2^1", "N6^1", "B2^1", "B0^1", "A0^1", "A2^1", "I^1", "J^1", "L2^1", "R2^1",
+    "P2^1", "Q^1", "E^1", "O^1", "Z2", "Z3", "S3", "M(x)", "M(xy)", "M(xyx)",
+    "M(xyxy)", "M(xy,yx)", "M(xyy)", "M(x,y)", "M(xyx,yy)",
+)
+
+
+def _rel_free_fields(rf):
+    c = rf.conflict
+    return (
+        rf.size, rf.complete, rf.transitions.tolist(), rf.parent.tolist(),
+        rf.parent_letter.tolist(),
+        None if c is None else (c.existing_word, c.new_word, c.existing_value, c.new_value),
+    )
+
+
+def test_rel_free_matches_dense_oracle():
+    # Every field of the looked-up BFS against the dense one, uncapped and
+    # under caps small enough that lookups meet skipped states (-1), and
+    # with tracked values so that conflicts end searches mid-row.
+    default = 300_000
+    # Uncapped, S3 has 8 * 3^17 states on 3 generators (4 * 3^5 = 972 on
+    # 2) and more on 4, and O^1 has 26,217 on 4: too slow for the oracle.
+    too_large = {("S3", 3), ("S3", 4), ("O^1", 4)}
+    capped = conflicts = 0
+    for name in RELFREE_MONOIDS:
+        M = catalog(name)
+        for k in range(1, 5):
+            if M.order ** k > 1000:
+                continue
+            for cap in (default, 50, 7):
+                if cap == default and (name, k) in too_large:
+                    continue
+                rf = rel_free(M, k, max_states=cap)
+                assert _rel_free_fields(rf) == _rel_free_fields(
+                    oracle_rel_free(M, k, max_states=cap)), (name, k, cap)
+                capped += not rf.complete
+    for a_name in RELFREE_MONOIDS:
+        A = catalog(a_name)
+        gens = minimal_generating_set(A)
+        for b_name in RELFREE_MONOIDS:
+            B = catalog(b_name)
+            if B.order ** len(gens) > 300:
+                continue
+            for cap in (default, 40):
+                if cap == default and (b_name, len(gens)) in too_large:
+                    continue
+                rf = rel_free(B, len(gens), max_states=cap, track=A, track_images=gens)
+                assert _rel_free_fields(rf) == _rel_free_fields(oracle_rel_free(
+                    B, len(gens), max_states=cap, track=A, track_images=gens,
+                )), (a_name, b_name, cap)
+                conflicts += rf.conflict is not None
+                capped += not rf.complete and rf.conflict is None
+    assert capped >= 20 and conflicts >= 20
+    # The cheap builds of the relfree benchmark, pinned here as well.
+    for name, k, size in (("M(xyx)", 4, 640), ("B0^1", 4, 1148), ("Q^1", 4, 1448)):
+        rf = rel_free(catalog(name), k)
+        assert rf.complete and rf.size == size
+        assert _rel_free_fields(rf) == _rel_free_fields(oracle_rel_free(catalog(name), k))
 
 
 def test_rel_free_takes_256_elements():
