@@ -11,7 +11,8 @@ maps the outcome to an exit code:
   refuting witness was found, membership refuted or inconclusive, no
   derivation within bounds, validation problems, failed expectations);
 * ``2`` — usage errors: unknown names, unreadable files, unparsable
-  words/identities/manifests.  Diagnostics go to the error stream.
+  words/identities/manifests, a semigroup where a monoid is needed, a
+  poset that cannot be ranked.  Diagnostics go to the error stream.
 
 ``--json`` on any subcommand emits a single machine-readable JSON object
 instead of text; exit codes are unchanged.  Witness substitutions print
@@ -53,6 +54,7 @@ from .manifest import (
 )
 from .monoids import (
     FiniteMonoid,
+    NeedsIdentityError,
     adjoin_identity,
     catalog,
     direct_product,
@@ -93,6 +95,16 @@ def _resolve_monoid(ref: str) -> FiniteMonoid:
         return catalog(ref)
     except Exception as exc:
         raise _usage(_error_text(exc)) from exc
+
+
+def _resolve_proper_monoid(ref: str) -> FiniteMonoid:
+    """As _resolve_monoid, for commands that need an identity element."""
+    M = _resolve_monoid(ref)
+    try:
+        M.require_identity()
+    except NeedsIdentityError as exc:
+        raise _usage(str(exc)) from exc
+    return M
 
 
 def _parse_identity_arg(text: str):
@@ -204,7 +216,7 @@ def check_cmd(target: str, identity: str, as_json: bool) -> None:
     Exit 0 if it holds, 1 with the first refuting substitution if not, or
     when the n^k substitutions exceed the budget (undecided).
     """
-    M = _resolve_monoid(target)
+    M = _resolve_proper_monoid(target)
     ident = _parse_identity_arg(identity)
     try:
         res = satisfies(M, ident)
@@ -235,7 +247,7 @@ def isoterm_cmd(target: str, word: str, as_json: bool) -> None:
     word is found (printed), certification is out of reach, or the
     substitutions over the word's variables exceed the budget.
     """
-    M = _resolve_monoid(target)
+    M = _resolve_proper_monoid(target)
     w = _parse_word_arg(word)
     try:
         verdict = isoterm(M, w)
@@ -277,8 +289,8 @@ def member_cmd(candidate: str, generator: str, as_json: bool) -> None:
     Exit 0 for membership; 1 when refuted (separating identity printed)
     or inconclusive under the configured budgets.
     """
-    A = _resolve_monoid(candidate)
-    B = _resolve_monoid(generator)
+    A = _resolve_proper_monoid(candidate)
+    B = _resolve_proper_monoid(generator)
     verdict = member(A, B)
     if as_json:
         _emit_json({"candidate": A.name, "generator": B.name,
@@ -494,7 +506,10 @@ def lattice_validate(figure: str, depth: int, as_json: bool) -> None:
 def lattice_dot(figure: str, depth: int, as_json: bool) -> None:
     """Emit the diagram in DOT form, ranked by height."""
     P = _load_poset(figure, depth)
-    text = dot_export(P)
+    try:
+        text = dot_export(P)
+    except ValueError as exc:  # a cycle, or a cover naming an undeclared node
+        raise _usage(str(exc)) from exc
     if as_json:
         _emit_json({"name": P.name, "dot": text})
     else:

@@ -85,12 +85,10 @@ class DerivationStep:
     left: Word
     right: Word
 
-    def describe(self, rules: Sequence[Identity] | None = None) -> str:
+    def describe(self, rules: Sequence[Identity]) -> str:
         arrow = "->" if self.forward else "<-"
         sub = " ".join(f"{v}={format_word(w)}" for v, w in sorted(self.theta.items()))
-        rule = f"rule {self.rule_index} ({arrow})"
-        if rules is not None:
-            rule += f" {format_identity(rules[self.rule_index])}"
+        rule = f"rule {self.rule_index} ({arrow}) {format_identity(rules[self.rule_index])}"
         return (
             f"{format_word(self.source)} => {format_word(self.target)} via {rule}"
             f" with [{sub}] in context ({format_word(self.left)}, {format_word(self.right)})"
@@ -294,9 +292,8 @@ class DerivationScript:
             meta=dict(d.get("meta", {})),
         )
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "DerivationScript":
@@ -469,23 +466,19 @@ def is_canonical(w: Word) -> bool:
 
 
 def to_canonical(
-    w: Word,
-    rules: Sequence[Identity] = E1_BASIS,
-    *,
-    max_words: int = 50_000,
-    max_length: int | None = None,
-    verify: bool = True,
+    w: Word, rules: Sequence[Identity] = E1_BASIS
 ) -> tuple[Word, DerivationScript]:
     """Find a canonical word derivable from w under the rules (breadth-first,
     shortlex-least among those at the first reachable level) and the
     derivation chain leading to it.
 
-    When ``verify`` is set the result is checked to be equivalent to w in
-    the catalog monoid E^1 (a sound consequence of the default rule set);
-    oversized substitution spaces skip this check silently.
+    The search visits at most 50,000 words, none longer than len(w) + 4.
+    The result is checked to be equivalent to w in the catalog monoid E^1
+    (a sound consequence of the default rule set); oversized substitution
+    spaces skip this check silently.
     """
-    if max_length is None:
-        max_length = len(w) + 4
+    max_words = 50_000
+    max_length = len(w) + 4
     rules = tuple(rules)
     parent: dict[Word, Word | None] = {w: None}
     frontier = [w]
@@ -518,16 +511,15 @@ def to_canonical(
     script = DerivationScript(rules=rules, words=tuple(chain))
     if len(chain) > 1:
         script.check()
-    if verify:
-        from .equations import BudgetExceededError, satisfies
-        from .monoids import catalog
+    from .equations import BudgetExceededError, satisfies
+    from .monoids import catalog
 
-        try:
-            result = satisfies(catalog("E^1"), Identity(w, found))
-        except BudgetExceededError:
-            result = None
-        if result is not None and not result.holds:
-            raise AssertionError("canonicalization produced a non-equivalent word")
+    try:
+        result = satisfies(catalog("E^1"), Identity(w, found))
+    except BudgetExceededError:
+        result = None
+    if result is not None and not result.holds:
+        raise AssertionError("canonicalization produced a non-equivalent word")
     return found, script
 
 

@@ -408,9 +408,9 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
 
 
 def satisfies_all(
-    M: FiniteMonoid, idents: Iterable[Identity], *, budget: int = DEFAULT_BUDGET
+    M: FiniteMonoid, idents: Iterable[Identity]
 ) -> tuple[bool, list[SatisfactionResult]]:
-    results = [satisfies(M, ident, budget=budget) for ident in idents]
+    results = [satisfies(M, ident) for ident in idents]
     return all(r.holds for r in results), results
 
 
@@ -1035,9 +1035,6 @@ def member(
     *,
     max_states: int = 300_000,
     max_dim: int = 20_000,
-    fallback_max_vars: int = 3,
-    fallback_max_length: int = 6,
-    budget: int = DEFAULT_BUDGET,
 ) -> MemberVerdict:
     """Decide whether A lies in the variety generated by B.
 
@@ -1048,10 +1045,11 @@ def member(
     that A fails (NotMember).  Completion without conflict proves the
     assignment x_i -> a_i factors through the free object, i.e. A is a
     quotient of a submonoid of a power of B (Member).  Cap overflow falls
-    back to a bounded identity search; if that also finds nothing the
-    verdict is Unknown.  A witness from either route is re-checked with
-    ``satisfies`` (it must hold in B and fail in A) before NotMember is
-    returned.
+    back to a bounded identity search (at most 3 variables, sides of
+    length at most 6, within ``DEFAULT_BUDGET`` substitutions); if that
+    also finds nothing the verdict is Unknown.  A witness from either
+    route is re-checked with ``satisfies`` (it must hold in B and fail in
+    A) before NotMember is returned.
     """
     A.require_identity()
     B.require_identity()
@@ -1076,38 +1074,34 @@ def member(
     else:
         if rf is not None:
             details["relfree"] = "state cap reached"
-        witness = _bounded_identity_search(
-            A, B, max_vars=fallback_max_vars, max_length=fallback_max_length, budget=budget
-        )
+        witness = _bounded_identity_search(A, B)
         if witness is None:
             return MemberVerdict("unknown", details=details)
     # Either route's witness must hold in B and fail in A.
-    if not satisfies(B, witness, budget=budget).holds or satisfies(A, witness, budget=budget).holds:
+    if not satisfies(B, witness).holds or satisfies(A, witness).holds:
         raise AssertionError("membership witness failed re-verification")
     return MemberVerdict("not_member", witness=witness, details=details)
 
 
-def _bounded_identity_search(
-    A: FiniteMonoid, B: FiniteMonoid, *, max_vars: int, max_length: int, budget: int
-) -> Identity | None:
+def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | None:
     """First identity u = v that holds in B and fails in A, where for some
-    nvars <= max_vars both sides are words of length <= max_length that
-    use every one of x1..x_nvars.
+    nvars <= 3 both sides are words of length <= 6 that use every one of
+    x1..x_nvars.
 
     Smaller nvars are searched first.  Within one nvars, v is the first
     word in shortlex order whose B-values equal those of the first word u
     with those B-values while its A-values differ.  Identities whose sides
     use different variable sets (such as x1^2 x2 = x1^2) are never tried.
     """
-    for nvars in range(1, max_vars + 1):
+    for nvars in range(1, 4):
         variables = [f"x{i+1}" for i in range(nvars)]
         try:
-            space_b = _AssignmentSpace(B, variables, budget)
-            space_a = _AssignmentSpace(A, variables, budget)
+            space_b = _AssignmentSpace(B, variables, DEFAULT_BUDGET)
+            space_a = _AssignmentSpace(A, variables, DEFAULT_BUDGET)
         except BudgetExceededError:
             break
         words: list[Word] = []
-        for ell in range(0, max_length + 1):
+        for ell in range(0, 7):
             words.extend(Word(t) for t in itertools.product(variables, repeat=ell))
         buckets: dict[bytes, tuple[Word, bytes]] = {}
         for word in words:

@@ -215,8 +215,10 @@ class ValidationReport:
     problems: list[str] = field(default_factory=list)
 
 
-def validate(M: FiniteMonoid, max_problems: int = 5) -> ValidationReport:
-    """Check associativity and identity behaviour, reporting witnesses."""
+def validate(M: FiniteMonoid) -> ValidationReport:
+    """Check associativity and identity behaviour, reporting up to five
+    witnesses."""
+    max_problems = 5
     problems: list[str] = []
     T = M.table
     n = M.order
@@ -414,7 +416,6 @@ def from_presentation(
     *,
     name: str = "",
     max_word_length: int = 14,
-    max_words: int = 500_000,
 ) -> FiniteMonoid:
     """Build the semigroup/monoid presented by generators and relations.
 
@@ -422,8 +423,9 @@ def from_presentation(
     over the generators in compact syntax (``"aba"``, ``"b^2 a"``), or ``"0"``
     (absorbing zero) or ``"1"`` (empty word; its use makes the result a
     monoid).  Raises ``ClosureBoundExceeded`` if the bounded closure cannot
-    certify a finite quotient within the budget.
+    certify a finite quotient with at most 500,000 words.
     """
+    max_words = 500_000
     gens = tuple(generators)
     if not gens or len(set(gens)) != len(gens):
         raise PresentationError(f"bad generator list {generators!r}")
@@ -478,17 +480,15 @@ def from_presentation(
 # ---------------------------------------------------------------------------
 
 
-def adjoin_identity(M: FiniteMonoid, label: str | None = None) -> FiniteMonoid:
+def adjoin_identity(M: FiniteMonoid) -> FiniteMonoid:
     """Adjoin a *fresh* identity element (always, even if M has one).
 
-    The new element is appended at the end of the element list.
+    The new element is appended at the end of the element list, labelled
+    ``1`` with as many primes as it takes to be fresh.
     """
-    if label is None:
-        label = "1"
-        while label in M.elements:
-            label += "'"
-    elif label in M.elements:
-        raise PresentationError(f"label {label!r} already used")
+    label = "1"
+    while label in M.elements:
+        label += "'"
     n = M.order
     table = np.zeros((n + 1, n + 1), dtype=np.int32)
     table[:n, :n] = M.table
@@ -498,8 +498,9 @@ def adjoin_identity(M: FiniteMonoid, label: str | None = None) -> FiniteMonoid:
     return FiniteMonoid(name, M.elements + (label,), table, identity=n)
 
 
-def direct_product(A: FiniteMonoid, B: FiniteMonoid, name: str = "") -> FiniteMonoid:
-    """Componentwise product; labels are ``(a,b)``; row-major element order."""
+def direct_product(A: FiniteMonoid, B: FiniteMonoid) -> FiniteMonoid:
+    """Componentwise product; labels are ``(a,b)``; row-major element order;
+    named ``(A x B)`` when both factors are named."""
     na, nb = A.order, B.order
     labels = [f"({a},{b})" for a in A.elements for b in B.elements]
     ia, ib = np.divmod(np.arange(na * nb), nb)
@@ -509,8 +510,7 @@ def direct_product(A: FiniteMonoid, B: FiniteMonoid, name: str = "") -> FiniteMo
     identity = None
     if A.identity is not None and B.identity is not None:
         identity = A.identity * nb + B.identity
-    if not name:
-        name = f"({A.name} x {B.name})" if A.name and B.name else ""
+    name = f"({A.name} x {B.name})" if A.name and B.name else ""
     return FiniteMonoid(name, labels, table, identity)
 
 
@@ -533,9 +533,10 @@ def generated_indices(M: FiniteMonoid, seeds) -> list[int]:
     return np.flatnonzero(closed).tolist()
 
 
-def submonoid(M: FiniteMonoid, generator_labels, name: str = "") -> FiniteMonoid:
+def submonoid(M: FiniteMonoid, generator_labels) -> FiniteMonoid:
     """The subsemigroup generated by the given elements (plus the identity
-    when M is a monoid), with elements kept in M's order."""
+    when M is a monoid), with elements kept in M's order, named
+    ``sub(<M's name>)``."""
     gens = [M.index(g) for g in generator_labels]
     if M.identity is not None:
         gens.append(M.identity)
@@ -546,7 +547,7 @@ def submonoid(M: FiniteMonoid, generator_labels, name: str = "") -> FiniteMonoid
     )
     labels = [M.elements[i] for i in kept]
     identity = back[M.identity] if M.identity is not None else None
-    return FiniteMonoid(name or f"sub({M.name})", labels, table, identity)
+    return FiniteMonoid(f"sub({M.name})", labels, table, identity)
 
 
 def rees_quotient(factor_words, name: str = "") -> FiniteMonoid:

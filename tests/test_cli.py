@@ -101,6 +101,24 @@ def test_usage_errors_exit_2(args):
     assert "Error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "E", "x = y"),
+        ("isoterm", "E", "x y"),
+        ("member", "E", "E^1"),
+    ],
+    ids=["check", "isoterm", "member"],
+)
+def test_semigroup_where_a_monoid_is_needed_exits_2(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        "Error: E has no identity element; adjoin one first (adjoin_identity)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # isoterm / member
 # ---------------------------------------------------------------------------
@@ -263,6 +281,25 @@ def test_lattice_dot():
     assert data["name"] == "Fig2" and data["dot"].startswith('digraph "Fig2"')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("poset c\nnode a\nnode b\ncover a b\ncover b a\n",
+         "cover relation of 'c' has a cycle"),
+        ("poset g\nnode a\ncover ghost a\n",
+         "could not rank the nodes of 'g': a cover names an undeclared node"),
+    ],
+    ids=["cycle", "undeclared-node"],
+)
+def test_lattice_dot_malformed_file_exits_2(tmp_path, text, message):
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    result = run("lattice", "dot", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"Error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # monoid subcommands
 # ---------------------------------------------------------------------------
@@ -328,6 +365,17 @@ def test_monoid_validate_broken_table(tmp_path):
     ok = run("monoid", "validate", "E^1")
     assert ok.exit_code == 0
     assert ok.output == "ok: E^1 is a monoid of order 6\n"
+
+
+def test_monoid_commands_accept_semigroups():
+    assert run("monoid", "show", "E").exit_code == 0
+    assert run("monoid", "validate", "E").exit_code == 0
+    result = run("monoid", "product", "E", "L2")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[:2] == [
+        "monoid (E x L2)",
+        "elements (0,a) (0,b) (a,a) (a,b) (ac,a) (ac,b) (b,a) (b,b) (c,a) (c,b)",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -773,6 +773,19 @@ def test_member_rechecks_the_fallback_witness(monkeypatch):
         member(catalog("L2^1"), catalog("Q^1"), max_dim=10)
 
 
+def test_member_state_cap_exits():
+    # max_states 2 stops rel_free before M(xy)'s three classes on one
+    # generator, and the fallback search finds no separating identity
+    v = member(catalog("M(x)"), catalog("M(xy)"), max_states=2)
+    assert (v.kind, v.witness) == ("unknown", None)
+    assert list(v.details.items()) == [("generators", ["x"]), ("relfree", "state cap reached")]
+    # max_states 1 stops it at the root; the fallback search refutes
+    v = member(catalog("L2^1"), catalog("Q^1"), max_states=1)
+    assert v.kind == "not_member"
+    assert v.witness == parse_identity("x1^2 x2^2 = x2 x1^2 x2")
+    assert list(v.details.items()) == [("generators", ["a", "b"]), ("relfree", "state cap reached")]
+
+
 def test_member_reverse_direction():
     v = member(catalog("E^1"), catalog("Q^1"))
     assert v.kind == "not_member"
@@ -979,6 +992,35 @@ def test_isoterm_certified_cases():
         v = isoterm(catalog(name), parse_word(text))
         assert v.kind == "certified", (name, text, v)
         assert v.details["free_monoid_size"] == free_size
+
+
+def test_isoterm_certifier_witness_exit():
+    # The exhaustive phase stops at length 5, so only the certifier finds
+    # the second word of w's class, (xy)^3 or (yx)^3, and re-checks it.
+    for name, text, witness, free_size in (
+        ("B2^1", "x y x y", "x y x y x y", 20),
+        ("B2^1", "y x y x", "y x y x y x", 20),
+        ("A2^1", "x y x y", "x y x y x y", 33),
+        ("A2^1", "y x y x", "y x y x y x", 33),
+    ):
+        M, w = catalog(name), parse_word(text)
+        v = isoterm(M, w)
+        assert (v.kind, v.witness) == ("not_isoterm", parse_word(witness)), (name, text)
+        assert list(v.details.items()) == [
+            ("exhausted_length", 5),
+            ("free_monoid_size", free_size),
+            ("certifier", "class of w contains other words"),
+        ]
+        assert satisfies(M, Identity(w, v.witness)).holds
+
+
+def test_isoterm_rechecks_the_certifier_witness(monkeypatch):
+    # x y x y = y x y x fails in B2^1 (x=a, y=b gives ab against ba)
+    monkeypatch.setattr(
+        equations, "_second_word_in_class", lambda *args: parse_word("y x y x")
+    )
+    with pytest.raises(AssertionError, match="bad witness"):
+        isoterm(catalog("B2^1"), parse_word("x y x y"))
 
 
 def test_isoterm_bounded_only_without_zero():

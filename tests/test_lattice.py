@@ -208,6 +208,17 @@ def test_semantic_unknown_for_bare_nodes():
     assert chk.inclusion == "unknown" and chk.strictness == "unknown"
 
 
+def test_semantic_refuted_edge():
+    # L2^1 does not lie in the variety of Q^1, so the edge is refuted and
+    # the strictness check is skipped
+    P = parse_poset_text("poset t\nnode lo gen L2^1\nnode hi gen Q^1\ncover lo hi\n")
+    chk = semantic_check_edge(P, ("lo", "hi"))
+    assert chk.verdict == "refuted"
+    assert (chk.inclusion, chk.strictness) == ("refuted", "unknown")
+    assert format_identity(chk.separating) == "x1^2 x2^2 = x2 x1^2 x2"
+    assert chk.notes == ["inclusion refuted by x1^2 x2^2 = x2 x1^2 x2"]
+
+
 def test_dot_export():
     fig1 = load_figure("Fig1")
     dot = dot_export(fig1)

@@ -232,6 +232,15 @@ def test_validate_catches_broken_table():
     assert any("associativity" in p for p in report.problems)
 
 
+def test_validate_reports_at_most_five_identity_failures():
+    # A constant table is associative; the declared identity b fixes only
+    # a, so it fails on the six other elements and the report stops at five.
+    M = FiniteMonoid("constant", tuple("abcdefg"), np.zeros((7, 7), dtype=np.int32), identity=1)
+    report = validate(M)
+    assert not report.ok
+    assert report.problems == [f"identity b fails on {x}" for x in "bcdef"]
+
+
 def test_identity_required_error():
     with pytest.raises(NeedsIdentityError):
         catalog("B2").require_identity()
