@@ -160,7 +160,8 @@ def monoid_validate(target: str, as_json: bool) -> None:
         _emit_json({"monoid": M.name, "order": M.order, "ok": report.ok,
                     "problems": list(report.problems)})
     elif report.ok:
-        click.echo(f"ok: {M.name or '(unnamed)'} is a monoid of order {M.order}")
+        kind = "semigroup" if M.identity is None else "monoid"
+        click.echo(f"ok: {M.name or '(unnamed)'} is a {kind} of order {M.order}")
     else:
         for problem in report.problems:
             click.echo(problem)

@@ -37,12 +37,12 @@ lexicographically with the *first* variable most significant, and
    other two are tested against.
 
 One private kernel, ``_AssignmentSpace``, holds an assignment space: it
-checks the evaluation budget, builds the assignment columns on first use,
-evaluates words by one table gather per letter (and value sets by one
-scatter per letter) and decodes a witness index.  ``satisfies``, the
-isoterm scans, the bounded identity search of ``member`` and ``rel_free``
-all run on it; the isoterm falsifier phases over M(W) compare factor keys
-and never scan.
+builds the assignment columns on first use, evaluates words by one table
+gather per letter (and value sets by one scatter per letter) and decodes a
+witness index.  ``satisfies``, the isoterm scans, the bounded identity
+search of ``member`` and ``rel_free`` all run on it; the isoterm falsifier
+phases over M(W) compare factor keys and never scan.  The kernel bounds
+nothing: each verdict checks its space's size n^k against its own budget.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
@@ -93,6 +93,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+MAX_STATES = 300_000
+MAX_DIM = 20_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -139,23 +141,17 @@ class _AssignmentSpace:
     """Every assignment of M's elements to ``variables``, in mixed-radix
     order: the first variable most significant, elements in table order.
 
-    Raises BudgetExceededError when the n^k assignments exceed ``budget``.
     Words are evaluated with the letters of ``fixed`` (letter -> element
-    index) held constant.
+    index) held constant.  No budget is checked here: callers compare
+    ``total`` (n^k, known before anything is allocated) with theirs.
     """
 
     def __init__(
-        self, M: FiniteMonoid, variables: Sequence[str], budget: int,
-        fixed: Mapping[str, int] | None = None,
+        self, M: FiniteMonoid, variables: Sequence[str], fixed: Mapping[str, int] | None = None,
     ):
         self.identity = M.require_identity()
         n, k = M.order, len(variables)
         self.total = n ** k
-        if self.total > budget:
-            raise BudgetExceededError(
-                f"identity over {k} variables needs {self.total} "
-                f"substitutions in {M.name or 'M'} (budget {budget})"
-            )
         self.M = M
         self.variables = tuple(variables)
         self.shape = (n,) * k
@@ -223,6 +219,15 @@ class _AssignmentSpace:
         """The assignment at ``index``, as variable -> element label."""
         digits = np.unravel_index(index, self.shape)
         return {v: self.M.elements[int(d)] for v, d in zip(self.variables, digits)}
+
+
+def _check_budget(space: _AssignmentSpace, budget: int) -> None:
+    """Raise BudgetExceededError if ``space`` exceeds ``budget`` assignments."""
+    if space.total > budget:
+        raise BudgetExceededError(
+            f"identity over {len(space.variables)} variables needs {space.total} "
+            f"substitutions in {space.M.name or 'M'} (budget {budget})"
+        )
 
 
 def _factor_texts(M: FiniteMonoid) -> list[tuple[str, ...]] | None:
@@ -343,12 +348,12 @@ def _by_elimination(space: _AssignmentSpace, ident: Identity, split: _LinearSpli
     ``space`` is the identity's full space, whose size ``checked`` reports."""
     M, n = space.M, space.M.order
     others = [c for c in space.variables if c not in split.linear]
-    if not _elimination_failures(_AssignmentSpace(M, others, space.total), split).any():
+    if not _elimination_failures(_AssignmentSpace(M, others), split).any():
         return SatisfactionResult(holds=True, checked=space.total)
     fixed: dict[str, int] = {}
     for var in space.variables:
         free = [var] + [c for c in others if c != var and c not in fixed]
-        fails = _elimination_failures(_AssignmentSpace(M, free, space.total, fixed), split)
+        fails = _elimination_failures(_AssignmentSpace(M, free, fixed), split)
         fixed[var] = int(np.argmax(fails.reshape(n, -1).any(axis=1)))
     witness = {v: M.elements[i] for v, i in fixed.items()}
     return SatisfactionResult(
@@ -380,9 +385,9 @@ def _by_scan(space: _AssignmentSpace, ident: Identity) -> SatisfactionResult:
 def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET) -> SatisfactionResult:
     """Decide M |= ident.
 
-    Raises BudgetExceededError when the assignment space n^k exceeds the
-    budget, for every M and every path below.  Three paths decide (see the
-    module docstring):
+    Raises BudgetExceededError when the assignment space n^k exceeds
+    ``budget``, checked before any path runs, so for every M and every path
+    below.  Three paths decide (see the module docstring):
 
     - a word-factor quotient M(W) (built by ``rees_quotient``) compares the
       sides' factor keys, with no n^k array when the identity holds;
@@ -397,7 +402,8 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     values in table order).  ``checked`` is the number of substitutions n^k
     the verdict covers, whichever path reached it.
     """
-    space = _AssignmentSpace(M, sorted(ident.variables()), budget)
+    space = _AssignmentSpace(M, sorted(ident.variables()))
+    _check_budget(space, budget)
     texts = _factor_texts(M)
     if texts is not None and _has_factor_key(texts, ident.rhs, _factor_key(texts, ident.lhs)):
         return SatisfactionResult(holds=True, checked=space.total)
@@ -491,8 +497,8 @@ def rel_free(
     k: int,
     *,
     generators: Sequence[str] | None = None,
-    max_states: int = 300_000,
-    max_dim: int = 20_000,
+    max_states: int = MAX_STATES,
+    max_dim: int = MAX_DIM,
     track: FiniteMonoid | None = None,
     track_images: Sequence[str] | None = None,
 ) -> RelFree:
@@ -543,7 +549,7 @@ def rel_free(
     # of the search costs measurably more, and so does a gather through
     # int32 rather than native indices.  The uint8 table gathers straight
     # into a tuple's bytes.
-    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits.astype(np.intp))
+    gen_cols = list(_AssignmentSpace(M, gen_names).digits.astype(np.intp))
     flat = M.flat.astype(np.uint8)
 
     tracked = None
@@ -649,13 +655,17 @@ def rel_free(
 
 @dataclass
 class IsotermBudget:
-    substitution_budget: int = DEFAULT_BUDGET
+    """The bounds of ``isoterm`` a caller may set: the exhaustive phase
+    scans at most ``enum_words`` words, none longer than len(w) +
+    ``enum_extra_length`` or ``small_length``, and the certifier's
+    ``rel_free`` keeps at most ``max_states`` states.  Fixed: the
+    substitution budget ``DEFAULT_BUDGET``, the anagram phase's 200,000
+    rearrangements and ``rel_free``'s default dimension cap."""
+
     enum_words: int = 200_000
     enum_extra_length: int = 1
     small_length: int = 12
-    anagram_cap: int = 200_000
-    max_states: int = 300_000
-    max_dim: int = 20_000
+    max_states: int = MAX_STATES
 
 
 @dataclass
@@ -682,7 +692,7 @@ def _perturbations(w: Word) -> list[Word]:
     return sorted(out)
 
 
-def _anagrams(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Iterator[Word]:
+def _anagrams(M: FiniteMonoid, w: Word) -> Iterator[Word]:
     """The first 4096 same-multiset rearrangements of w, other than w, that
     survive pruning by two-variable projections, in sorted order.
 
@@ -690,69 +700,52 @@ def _anagrams(M: FiniteMonoid, w: Word, budget: IsotermBudget) -> Iterator[Word]
     satisfied (delete the other variables), so any rearrangement whose pair
     projection is not M-equivalent to w's pair projection is discarded
     prefix-first.  Nothing is yielded for fewer than two letters or more
-    than ``anagram_cap`` rearrangements.
+    than 200,000 rearrangements.  ``isoterm`` has checked the n^k
+    assignments of w's k >= 2 letters, so each pair's n^2 needs no check.
     """
     counts = w.occurrences()
     letters = sorted(counts)
     if len(letters) < 2:
         return
     perm_count = math.factorial(len(w)) // math.prod(map(math.factorial, counts.values()))
-    if perm_count > budget.anagram_cap:
+    if perm_count > 200_000:
         return
 
-    pairs = list(itertools.combinations(letters, 2))
-    pair_id = {p: i for i, p in enumerate(pairs)}
-    # For every pair: all M-equivalent same-multiset rearrangements of the
-    # pair projection, stored as prefix sets of bitmasks (bit 1 = second
-    # letter of the pair, appended at the bit position = length so far).
-    allowed_prefixes: list[list[set[int]]] = []
-    for a, b in pairs:
-        same = _AssignmentSpace(M, (a, b), budget.substitution_budget).same_as(w.project({a, b}))
+    # For every pair: the prefixes of the same-multiset rearrangements of
+    # w's projection onto the pair that M makes equal to it.
+    allowed: dict[tuple[str, str], set[tuple[str, ...]]] = {}
+    for a, b in itertools.combinations(letters, 2):
+        same = _AssignmentSpace(M, (a, b)).same_as(w.project({a, b}))
         length = counts[a] + counts[b]
-        good: list[int] = []
+        prefixes = allowed[a, b] = set()
         for positions in itertools.combinations(range(length), counts[b]):
-            pos_set = set(positions)
-            arrangement = Word(b if i in pos_set else a for i in range(length))
-            if same(arrangement):
-                good.append(sum(1 << i for i in positions))
-        prefixes: list[set[int]] = [set() for _ in range(length + 1)]
-        low_masks = [(1 << i) - 1 for i in range(length + 1)]
-        for mask in good:
-            for ell in range(length + 1):
-                prefixes[ell].add(mask & low_masks[ell])
-        allowed_prefixes.append(prefixes)
+            arrangement = tuple(b if i in positions else a for i in range(length))
+            if same(Word(arrangement)):
+                prefixes.update(arrangement[:ell] for ell in range(length + 1))
 
-    # DFS over positions, maintaining per-pair (count, mask).  Letters are
-    # tried in sorted order, so the leaves come out sorted.
+    # DFS over positions, keeping each pair's projection of the prefix.
+    # Letters are tried in sorted order, so the leaves come out sorted.
     remaining = dict(counts)
-    pair_state = {p: (0, 0) for p in pairs}
+    projected: dict[tuple[str, str], tuple[str, ...]] = {p: () for p in allowed}
     prefix: list[str] = []
 
     def leaves() -> Iterator[Word]:
-        if not any(remaining[c] for c in letters):
+        if not any(remaining.values()):
             yield Word(prefix)
             return
         for c in letters:
             if not remaining[c]:
                 continue
-            updates = []
-            for p in pairs:
-                if c not in p:
-                    continue
-                cnt, mask = pair_state[p]
-                new_mask = mask | (1 << cnt) if c == p[1] else mask
-                if new_mask not in allowed_prefixes[pair_id[p]][cnt + 1]:
-                    break
-                updates.append((p, (cnt + 1, new_mask)))
-            else:
-                saved = [(p, pair_state[p]) for p, _ in updates]
-                pair_state.update(updates)
+            updates = {p: projected[p] + (c,) for p in allowed if c in p}
+            if all(t in allowed[p] for p, t in updates.items()):
+                saved = {p: projected[p] for p in updates}
+                projected.update(updates)
                 remaining[c] -= 1
                 prefix.append(c)
                 yield from leaves()
                 prefix.pop()
                 remaining[c] += 1
-                pair_state.update(saved)
+                projected.update(saved)
 
     yield from itertools.islice((leaf for leaf in leaves() if leaf != w), 4096)
 
@@ -792,17 +785,21 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     must use exactly w's variables (substituting the zero for a
     missing/extra variable would otherwise escape the class); when it
     cannot run, the verdict is BoundedOnly with the scanned bound and
-    ``certifier`` set to ``skipped: <reason>``.
+    ``certifier`` set to ``skipped: <reason>``.  Raises BudgetExceededError,
+    before any phase, when content(w) has more than ``DEFAULT_BUDGET``
+    assignments.
     """
     budget = budget or IsotermBudget()
     # One equality test over content(w) checks the candidates of every
     # phase; every candidate uses only w's variables.
     gens = tuple(sorted(w.content()))
-    same = _AssignmentSpace(M, gens, budget.substitution_budget).same_as(w)
+    space = _AssignmentSpace(M, gens)
+    _check_budget(space, DEFAULT_BUDGET)
+    same = space.same_as(w)
     bound = _exhaustive_bound(len(gens), len(w), budget)
     phases = (
         ("perturbations", _perturbations(w)),
-        ("anagrams", _anagrams(M, w, budget)),
+        ("anagrams", _anagrams(M, w)),
         ("exhaustive", (Word(t) for ell in range(bound + 1)
                         for t in itertools.product(gens, repeat=ell))),
     )
@@ -817,10 +814,7 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
         zero = M.zero_index()
         if zero is None or zero == M.identity:
             raise _CertifierSkipped("base monoid has no proper zero")
-        rf = rel_free(
-            M, len(gens), generators=gens,
-            max_states=budget.max_states, max_dim=budget.max_dim,
-        )
+        rf = rel_free(M, len(gens), generators=gens, max_states=budget.max_states)
         if not rf.complete:
             raise _CertifierSkipped("state cap reached")
         details["free_monoid_size"] = rf.size
@@ -834,7 +828,7 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     if witness is None:
         details["certifier"] = "class of w is a singleton"
         return IsotermVerdict("certified", w, details=details)
-    check = satisfies(M, Identity(w, witness), budget=budget.substitution_budget)
+    check = satisfies(M, Identity(w, witness))
     if not check.holds:
         raise AssertionError("certifier produced a bad witness")
     details["certifier"] = "class of w contains other words"
@@ -1033,8 +1027,8 @@ def member(
     A: FiniteMonoid,
     B: FiniteMonoid,
     *,
-    max_states: int = 300_000,
-    max_dim: int = 20_000,
+    max_states: int = MAX_STATES,
+    max_dim: int = MAX_DIM,
 ) -> MemberVerdict:
     """Decide whether A lies in the variety generated by B.
 
@@ -1095,10 +1089,9 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
     """
     for nvars in range(1, 4):
         variables = [f"x{i+1}" for i in range(nvars)]
-        try:
-            space_b = _AssignmentSpace(B, variables, DEFAULT_BUDGET)
-            space_a = _AssignmentSpace(A, variables, DEFAULT_BUDGET)
-        except BudgetExceededError:
+        space_b = _AssignmentSpace(B, variables)
+        space_a = _AssignmentSpace(A, variables)
+        if max(space_b.total, space_a.total) > DEFAULT_BUDGET:
             break
         words: list[Word] = []
         for ell in range(0, 7):

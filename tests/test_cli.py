@@ -238,6 +238,55 @@ def test_sigma_classify_rejects_unreducible():
     assert "separator" in result.output
 
 
+def test_sigma_classify_coinciding_sides():
+    result = run("sigma", "classify", "x^2 h y^2 = x^2 h y^2")
+    assert result.exit_code == 0
+    assert result.output == ("identity: x^2 h y^2 = x^2 h y^2\n"
+                             "no lambda identities: the sides coincide\n")
+
+
+def test_sigma_classify_json():
+    result = run("sigma", "classify", "--json", "x^2 h1 x^2 y^2 = x^2 h1 y^2 x^2")
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "identity": "x^2 h1 x^2 y^2 = x^2 h1 y^2 x^2",
+        "lambdas": [{
+            "class": "stage 1",
+            "classified_as": "x^2 h1 x^2 y^2 = x^2 h1 y^2 x^2",
+            "lambda": "y^2 h1 x^2 y^2 = y^2 h1 y^2 x^2",
+        }],
+    }
+
+
+def test_sigma_classify_json_rejects_unreducible():
+    result = run("sigma", "classify", "--json", "x y = y x")
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "identity": "x y = y x", "error": "words must share separator sequence",
+    }
+
+
+def test_rees_bad_word_exits_2():
+    result = run("monoid", "rees", "x1y")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        "Error: cannot parse token 'x1y': multi-character variables must be "
+        "separated by spaces or dots\n"
+    )
+
+
+def test_deduce_bad_rule_line_exits_2(tmp_path):
+    path = tmp_path / "F"
+    path.write_text("x^3 = x^2\n# a comment\nx y z\n")
+    result = run("deduce", "--rules", str(path), "x = y")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"Error: {path}:3: identity text must have exactly one '=': 'x y z'\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # lattice
 # ---------------------------------------------------------------------------
@@ -365,6 +414,23 @@ def test_monoid_validate_broken_table(tmp_path):
     ok = run("monoid", "validate", "E^1")
     assert ok.exit_code == 0
     assert ok.output == "ok: E^1 is a monoid of order 6\n"
+
+
+def test_monoid_validate_names_a_semigroup():
+    result = run("monoid", "validate", "E")
+    assert result.exit_code == 0
+    assert result.output == "ok: E is a semigroup of order 5\n"
+    result = run("monoid", "validate", "--json", "E")
+    assert json.loads(result.output) == {"monoid": "E", "order": 5, "ok": True, "problems": []}
+
+
+def test_monoid_show_malformed_file_exits_2(tmp_path):
+    path = tmp_path / "BAD.monoid"
+    path.write_text("monoid bad\nelements e a\nidentity e\ntable\ne a\n")
+    result = run("monoid", "show", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith("Error: expected 2 table rows, found 1\n")
 
 
 def test_monoid_commands_accept_semigroups():

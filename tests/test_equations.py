@@ -10,6 +10,7 @@ implementation against a direct brute-force evaluator.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -49,6 +50,7 @@ from monoidlab.lattice import load_figure
 from monoidlab.monoids import (
     adjoin_identity,
     catalog,
+    direct_product,
     find_isomorphism,
     format_monoid_text,
     from_presentation,
@@ -234,7 +236,7 @@ def test_factor_key_partition_matches_value_vectors():
     for name in ("M()", "M(1)", "M(x)", "M(xy)", "M(xyx)", "M(xyxy)", "M(xy,yx)", "M(xyx,yy)",
                  "M(xyy)"):
         M = catalog(name)
-        space, texts = _AssignmentSpace(M, variables, 10**6), _factor_texts(M)
+        space, texts = _AssignmentSpace(M, variables), _factor_texts(M)
 
         def key_label(word):
             content, pairs = _factor_key(texts, word)
@@ -334,7 +336,7 @@ def test_elimination_matches_exhaustive_scan():
     for m, ident in cases:
         M = catalog(m)
         try:
-            space = _AssignmentSpace(M, sorted(ident.variables()), DEFAULT_BUDGET)
+            space = _AssignmentSpace(M, sorted(ident.variables()))
         except BudgetExceededError:
             continue
         split = _linear_split(ident)
@@ -464,7 +466,7 @@ def oracle_rel_free(M, k, *, max_states=300_000, max_dim=20_000, track=None, tra
     if dim > max_dim:
         raise RelFreeCapExceeded(f"{dim} > max_dim {max_dim}")
     gen_names = tuple(f"x{i + 1}" for i in range(k))
-    gen_cols = list(_AssignmentSpace(M, gen_names, max_dim).digits)
+    gen_cols = list(_AssignmentSpace(M, gen_names).digits)
     flat = M.flat
 
     tracked = None
@@ -784,6 +786,26 @@ def test_member_state_cap_exits():
     assert v.kind == "not_member"
     assert v.witness == parse_identity("x1^2 x2^2 = x2 x1^2 x2")
     assert list(v.details.items()) == [("generators", ["a", "b"]), ("relfree", "state cap reached")]
+
+
+def test_member_fallback_budget_exit(monkeypatch):
+    # 216^2 > max_dim caps rel_free; the fallback search finds nothing on
+    # 1 or 2 variables (Z2 x Z2 lies in Z216's variety) and stops before 3,
+    # whose 216^3 substitutions exceed the budget
+    assert 216 ** 3 > DEFAULT_BUDGET
+    values = _AssignmentSpace.values
+
+    def within_budget(space, word):
+        assert space.total <= DEFAULT_BUDGET, "evaluated a space over the budget"
+        return values(space, word)
+
+    monkeypatch.setattr(_AssignmentSpace, "values", within_budget)
+    v = member(direct_product(catalog("Z2"), catalog("Z2")), catalog("Z216"))
+    assert (v.kind, v.witness) == ("unknown", None)
+    assert list(v.details.items()) == [
+        ("generators", ["(e,a)", "(a,e)"]),
+        ("relfree", "capped: evaluation tuples have dimension 216^2 = 46656 > max_dim 20000"),
+    ]
 
 
 def test_member_reverse_direction():
@@ -1108,14 +1130,14 @@ def oracle_anagram_witness(M, w, budget, equivalent):
     perm_count = math.factorial(len(w))
     for c in counts.values():
         perm_count //= math.factorial(c)
-    if perm_count > budget.anagram_cap:
+    if perm_count > 200_000:
         return None
 
     pairs = list(itertools.combinations(letters, 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
     allowed_prefixes = []
     for a, b in pairs:
-        same = _AssignmentSpace(M, (a, b), budget.substitution_budget).same_as(w.project({a, b}))
+        same = _AssignmentSpace(M, (a, b)).same_as(w.project({a, b}))
         length = counts[a] + counts[b]
         good = []
         for positions in itertools.combinations(range(length), counts[b]):
@@ -1202,6 +1224,15 @@ def oracle_exhaustive_witness(w, budget, equivalent):
     return None, bound
 
 
+def test_isoterm_budget_fields():
+    # The other bounds are fixed: DEFAULT_BUDGET substitutions, 200,000
+    # rearrangements in the anagram phase and rel_free's dimension cap
+    assert [f.name for f in dataclasses.fields(IsotermBudget)] == [
+        "enum_words", "enum_extra_length", "small_length", "max_states",
+    ]
+    assert IsotermBudget() == IsotermBudget(200_000, 1, 12, 300_000)
+
+
 def test_anagram_stream_matches_oracle():
     # ``same`` accepts w itself, so a stream that yielded w would differ
     budget = IsotermBudget()
@@ -1211,9 +1242,9 @@ def test_anagram_stream_matches_oracle():
     for name in ("M(xyxy)", "M(xyx)", "M(xy,yx)", "Q^1", "E^1", "B2^1"):
         M = catalog(name)
         for w in words:
-            same = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget).same_as(w)
+            same = _AssignmentSpace(M, sorted(w.content())).same_as(w)
             expected = oracle_anagram_witness(M, w, budget, same)
-            assert next(filter(same, _anagrams(M, w, budget)), None) == expected, (name, w)
+            assert next(filter(same, _anagrams(M, w)), None) == expected, (name, w)
             hits += expected is not None
     assert hits >= 50
     assert isoterm(catalog("M(xyxy)"), wn_xyxy(2)).witness == parse_word("x0 x1 y z x0 x2 y z x1 x2")
@@ -1228,7 +1259,7 @@ def test_anagram_stream_is_the_oracle_survivor_list():
         M, w = catalog(name), parse_word(text)
         survivors = []
         oracle_anagram_witness(M, w, budget, lambda cand: survivors.append(cand) and False)
-        assert list(_anagrams(M, w, budget)) == survivors, name
+        assert list(_anagrams(M, w)) == survivors, name
         assert w not in survivors
         sizes.append(len(survivors))
     assert sizes[0] == 4096 and 0 < sizes[1] < 4096 and 0 < sizes[2] < 4096
@@ -1258,7 +1289,7 @@ def test_isoterm_falsifier_matches_oracles():
         for w in words:
             for budget in (IsotermBudget(), IsotermBudget(enum_extra_length=3),
                            IsotermBudget(enum_words=0), IsotermBudget(enum_words=20)):
-                same = _AssignmentSpace(M, sorted(w.content()), budget.substitution_budget).same_as(w)
+                same = _AssignmentSpace(M, sorted(w.content())).same_as(w)
 
                 def equivalent(cand):
                     return cand != w and same(cand)

@@ -127,6 +127,15 @@ def test_single_wrong_expectation_single_failure():
     assert failed[0].evidence["values"] == ["a", "b"]
 
 
+def test_iso_entry_without_isomorphism_fails():
+    # L2^1 and R2^1 are anti-isomorphic only
+    report = run_entries(parse_manifest("expect-iso L2^1 R2^1\n"))
+    assert report.counts == (0, 1)
+    result = report.results[0]
+    assert (result.passed, result.detail) == (False, "no isomorphism found")
+    assert result.evidence == {"first": "L2^1", "second": "R2^1"}
+
+
 def test_pinned_witness_is_reverified():
     good = "expect-fails E^1 x^2 y^2 h x^2 y^2 = x^2 y^2 h y^2 x^2 @ h=a x=b y=c"
     report = run_entries(parse_manifest(good))

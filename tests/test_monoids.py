@@ -183,6 +183,19 @@ def test_anti_isomorphism():
             assert anti[I.mul(x, y)] == J.mul(anti[y], anti[x])
 
 
+def test_isomorphism_search_backtracks_to_none():
+    # Each non-identity element of Z2 x Z2 has order 2, so Z4's one element
+    # of order 2 is its only candidate and every branch dead-ends
+    Z2 = catalog("Z2")
+    assert find_isomorphism(direct_product(Z2, Z2), catalog("Z4")) is None
+
+
+def test_left_and_right_zero_monoids_are_only_anti_isomorphic():
+    L, R = catalog("L2^1"), catalog("R2^1")
+    assert find_isomorphism(L, R) is None
+    assert find_isomorphism(L, R, anti=True) == {"a": "a", "b": "b", "1": "1"}
+
+
 # ---------------------------------------------------------------------------
 # Presentations: edge cases
 # ---------------------------------------------------------------------------
@@ -286,3 +299,45 @@ def test_parse_monoid_text_errors():
         parse_monoid_text(
             "monoid X\nelements a b\nidentity q\ntable\na b\nb a\n"
         )
+
+
+MONOID_TEXT = "monoid X\nelements e a\nidentity e\ntable\ne a\na e\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("monoid X", "monoid", "expected 'monoid <name>', got 'monoid'"),
+        ("elements e a", "elems e a", "expected 'elements ...', got 'elems e a'"),
+        ("identity e", "identity", "expected 'identity <e>', got 'identity'"),
+        ("table", "rows", "expected 'table', got 'rows'"),
+        ("a e\n", "", "expected 2 table rows, found 1"),
+        ("a e\n", "a\n", "table row 1 has 1 entries, expected 2"),
+        ("a e\n", "a b\n", "unknown element 'b' in table row 1"),
+    ],
+    ids=["header", "elements", "identity", "table", "rows", "row-width", "cell"],
+)
+def test_parse_monoid_text_messages(old, new, message):
+    text = MONOID_TEXT.replace(old, new, 1)
+    with pytest.raises(PresentationError) as info:
+        parse_monoid_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "elements, table, identity, message",
+    [
+        ([], np.zeros((0, 0)), None, "a semigroup needs at least one element"),
+        (["e", "e"], [[0, 1], [1, 0]], 0, "duplicate element labels in ('e', 'e')"),
+        (["e", ""], [[0, 1], [1, 0]], 0, "bad element label ''"),
+        (["e", "a b"], [[0, 1], [1, 0]], 0, "bad element label 'a b'"),
+        (["e", "a"], [[0, 1]], 0, "table shape (1, 2) does not match 2 elements"),
+        (["e", "a"], [[0, 1], [1, 2]], 0, "table entries out of range"),
+        (["e", "a"], [[0, 1], [1, 0]], 2, "identity index 2 out of range"),
+    ],
+    ids=["empty", "duplicate", "blank", "whitespace", "shape", "entry", "identity"],
+)
+def test_finite_monoid_checks(elements, table, identity, message):
+    with pytest.raises(PresentationError) as info:
+        FiniteMonoid("X", elements, table, identity)
+    assert str(info.value) == message

@@ -5,8 +5,16 @@ script) and stores the numbers under a label, keeping the other labels
 already in the file, so the parent commit and a change can be recorded
 side by side:
 
-    python3 tools/bench_record.py --pr N --label parent --root <parent checkout>
-    python3 tools/bench_record.py --pr N --label change
+    python3 tools/bench_record.py --pr N --label parent --root <clone of the parent>
+    python3 tools/bench_record.py --pr N --label change --root <clone of the change>
+
+Measure both sides in fresh clones, not in a working checkout: a working
+checkout can hold ``src/monoidlab/__pycache__`` from earlier runs, which a
+fresh clone lacks, and loading cached bytecode lowers perfbench's
+``setup_s`` by about as much as that metric's bound.  So each side also
+records ``bytecode_cache``: whether that directory existed before the
+first run and after the last, and the value of ``PYTHONDONTWRITEBYTECODE``
+(when it is set, no run writes a cache).
 
 Four sources are recorded, with the checkout's git SHA (and a digest of
 its ``src/monoidlab`` files, which tells uncommitted changes apart):
@@ -91,11 +99,13 @@ def git_state(root: pathlib.Path) -> dict:
 
 def record(root: pathlib.Path) -> dict:
     py = sys.executable
+    cache = root / "src" / "monoidlab" / "__pycache__"
+    cache_at_start = cache.is_dir()
     bench = run(root, [py, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
                        "--seconds", str(SECONDS)], timeout=3600)[1]
     isoterm_runs = [json.loads(run(root, [py, "-c", ISOTERM_RUN], 600)[1].stdout)
                     for _ in range(REPEAT)]
-    return {
+    result = {
         **git_state(root),
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
@@ -111,6 +121,11 @@ def record(root: pathlib.Path) -> dict:
             "bound": isoterm_runs[-1]["bound"],
         },
     }
+    result["bytecode_cache"] = {
+        "present_at_start": cache_at_start, "present_at_end": cache.is_dir(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
