@@ -4,7 +4,14 @@ A single derivation step rewrites ``l·theta(p)·r`` to ``l·theta(q)·r`` for a
 rule ``p = q`` used in either direction (equational semantics: rules are
 symmetric, not oriented).  ``check_derivation`` verifies a chain of words
 step by step; ``derive_bounded`` searches for a chain with a bidirectional
-breadth-first search over the (symmetric) one-step relation.
+breadth-first search over the (symmetric) one-step relation, whose
+neighbourhoods ``successors`` lists.
+
+Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
+(``_split_rule``): only P changes.  ``directly_deducible`` matches P on
+the windows where u and v differ; ``successors`` matches P from every start
+when the rule has two or more filler letters (letters of p outside P and
+Q, which only place the rewrite), and otherwise every embedding of p.
 
 The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
@@ -95,25 +102,33 @@ class DerivationStep:
         )
 
 
+def _split_rule(
+    p: tuple[str, ...], q: tuple[str, ...]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """(A, P, Q, B) with p = A·P·B and q = A·Q·B: A is the longest common
+    prefix of the two sides and B the longest common suffix of what is left,
+    so a rewrite by p -> q changes only the part matched by P."""
+    a = _common_prefix(p, q)
+    p_rest, q_rest = p[a:], q[a:]
+    b = _common_prefix(p_rest[::-1], q_rest[::-1])
+    return p[:a], p_rest[: len(p_rest) - b], q_rest[: len(q_rest) - b], p_rest[len(p_rest) - b :]
+
+
 def _least_step(
     ut: tuple[str, ...], vt: tuple[str, ...], p: Word, q: Word, lcp: int, lcs: int
 ) -> tuple[dict[str, Word], int] | None:
     """The least (theta, position) rewriting ut to vt by p -> q, or None.
 
     "Least" is the (sorted theta restricted to p, position, sorted theta of
-    the variables only in q) order.  With p = A·P·B and q = A·Q·B for the
-    longest common prefix A and suffix B of the two sides, every valid step
-    has theta(P) = ut[s:e] and theta(Q) = vt[s:e+delta] for a window with
-    s <= lcp and e >= len(ut) - lcs.  Each such window is solved exactly,
-    P on ut jointly with Q on vt, and only then is the solution extended on
-    ut: B to the right from e, and A to the left from s (matched reversed).
+    the variables only in q) order.  With p = A·P·B and q = A·Q·B (see
+    ``_split_rule``), every valid step has theta(P) = ut[s:e] and
+    theta(Q) = vt[s:e+delta] for a window with s <= lcp and
+    e >= len(ut) - lcs.  Each such window is solved exactly, P on ut
+    jointly with Q on vt, and only then is the solution extended on ut: B
+    to the right from e, and A to the left from s (matched reversed).
     """
-    a = _common_prefix(p.letters, q.letters)
-    p_rest, q_rest = p.letters[a:], q.letters[a:]
-    b = _common_prefix(p_rest[::-1], q_rest[::-1])
-    a_rev = p.letters[:a][::-1]
-    p_mid, q_mid = p_rest[: len(p_rest) - b], q_rest[: len(q_rest) - b]
-    b_side = p_rest[len(p_rest) - b :]
+    a_side, p_mid, q_mid, b_side = _split_rule(p.letters, q.letters)
+    a_rev = a_side[::-1]
     p_vars = sorted(p.content())
     one_sided = sorted(q.content() - p.content())
     nu, delta = len(ut), len(vt) - len(ut)
@@ -226,6 +241,14 @@ def check_derivation(
     return steps
 
 
+class _Extends(Exception):
+    """Ends an extension search at its first solution."""
+
+
+def _stop_at_first(_stop: int) -> None:
+    raise _Extends
+
+
 def successors(
     u: Word, rules: Sequence[Identity], *, max_length: int | None = None
 ) -> list[Word]:
@@ -234,26 +257,120 @@ def successors(
 
     Variables occurring only on the replacement side of a rule are
     instantiated with the empty word (their image is otherwise unbounded);
-    the bounded search makes no completeness claim in that case."""
+    the bounded search makes no completeness claim in that case.
+
+    Each rule direction p -> q is split as p = A·P·B and q = A·Q·B
+    (``_split_rule``).  A letter of p outside P and Q -- a filler, like
+    h_1..h_n of ``sigma(n)`` -- only places the rewrite: its image never
+    reaches the output, yet each filler multiplies the embeddings of p by
+    up to len(u).  So a direction with at least two fillers is anchored on
+    the part that changes (``_anchored_rewrites``): P is matched from each
+    start, and the context A·B is asked for one extension only.  A
+    direction with fewer fillers enumerates every embedding of p
+    (``_embedding_rewrites``): matching p whole pins each repeated variable
+    at its first occurrence, which matching P alone with an open end does
+    not.  Per rule on the sigma words, anchoring measured 1.2-4x slower on
+    the E^1 basis (at most one filler per direction) and 15-300x faster on
+    ``sigma(2..4)``.
+    """
     ut = u.letters
     out: set[tuple[str, ...]] = set()
-    bindings: dict[str, tuple[str, ...]] = {}
-    replacement: tuple[str, ...] = ()
-    start = 0
-
-    def emit(stop: int) -> None:
-        image = tuple(x for c in replacement for x in bindings.get(c, ()))
-        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
-            out.add(ut[:start] + image + ut[stop:])
-
     for rule in rules:
         for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            replacement = q.letters
-            for start in range(len(ut) + 1):
-                extend_match(p.letters, ut, (start,), None, bindings, emit)
+            split = _split_rule(p.letters, q.letters)
+            fillers = p.content() - set(split[1]) - set(split[2])
+            if len(fillers) >= 2:
+                _anchored_rewrites(ut, split, max_length, out)
+            else:
+                _embedding_rewrites(ut, p.letters, q.letters, max_length, out)
     out.discard(ut)
     # shortlex on the letter tuples: the order of the Words built from them
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
+
+
+def _embedding_rewrites(
+    ut: tuple[str, ...],
+    p: tuple[str, ...],
+    q: tuple[str, ...],
+    max_length: int | None,
+    out: set[tuple[str, ...]],
+) -> None:
+    """Add to ``out`` the rewrite of ut at every embedding of p (theta and
+    start), replacing theta(p) with theta(q)."""
+    bindings: dict[str, tuple[str, ...]] = {}
+    start = 0
+
+    def emit(stop: int) -> None:
+        image = tuple(x for c in q for x in bindings.get(c, ()))
+        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
+            out.add(ut[:start] + image + ut[stop:])
+
+    for start in range(len(ut) + 1):
+        extend_match(p, ut, (start,), None, bindings, emit)
+
+
+def _anchored_rewrites(
+    ut: tuple[str, ...],
+    split: tuple[tuple[str, ...], ...],
+    max_length: int | None,
+    out: set[tuple[str, ...]],
+) -> None:
+    """Add to ``out`` every rewrite of ut by A·P·B -> A·Q·B (``split``),
+    matching only P: each solution of P from a start s with an open end e
+    gives the word ut[:s]·theta(Q)·ut[e:].  A candidate that is a no-op,
+    longer than ``max_length`` or already in ``out`` is dropped before any
+    context is matched; otherwise B is matched forward from e and A
+    backward from s, and the first solution admits the word.  When a
+    variable of Q outside P is bound only by A or B, its image comes from
+    the context, so every extension is enumerated and each distinct image
+    is a rewrite."""
+    a_side, p_mid, q_mid, b_side = split
+    a_rev = a_side[::-1]
+    deferred = bool((set(q_mid) - set(p_mid)) & set(a_side + b_side))
+    bindings: dict[str, tuple[str, ...]] = {}
+    forward_bindings: dict[str, tuple[str, ...]] = {}
+    reversed_bindings: dict[str, tuple[str, ...]] = {}
+    s = e = 0
+    prefix_rev: tuple[str, ...] = ()
+
+    def rewrite(theta: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+        image = tuple(x for c in q_mid for x in theta.get(c, ()))
+        if image == ut[s:e]:
+            return None
+        if max_length is not None and len(ut) - (e - s) + len(image) > max_length:
+            return None
+        return ut[:s] + image + ut[e:]
+
+    def on_a(_stop: int) -> None:
+        word = rewrite({c: t[::-1] for c, t in reversed_bindings.items()})
+        if word is not None:
+            out.add(word)
+
+    def on_b(_stop: int) -> None:
+        nonlocal reversed_bindings
+        reversed_bindings = {c: t[::-1] for c, t in forward_bindings.items()}
+        found = on_a if deferred else _stop_at_first
+        extend_match(a_rev, prefix_rev, (0,), None, reversed_bindings, found)
+
+    def on_p(stop: int) -> None:
+        nonlocal e, forward_bindings
+        e = stop
+        word = None
+        if not deferred:
+            word = rewrite(bindings)
+            if word is None or word in out:
+                return
+        # A copy: the first solution ends the search by raising, which
+        # leaves the context's bindings in place.
+        forward_bindings = dict(bindings)
+        try:
+            extend_match(b_side, ut, (e,), None, forward_bindings, on_b)
+        except _Extends:
+            out.add(word)
+
+    for s in range(len(ut) + 1):
+        prefix_rev = ut[:s][::-1]
+        extend_match(p_mid, ut, (s,), None, bindings, on_p)
 
 
 # ---------------------------------------------------------------------------

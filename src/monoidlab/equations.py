@@ -999,12 +999,15 @@ def minimal_generating_set(M: FiniteMonoid) -> tuple[str, ...]:
     """
     e = M.require_identity()
     n = M.order
-    required, optional = [], []
-    for a in range(n):
-        if a != e:
-            others = [i for i in range(n) if i not in (e, a)]
-            product = (M.table[np.ix_(others, others)] == a).any()
-            (optional if product else required).append(a)
+    # One pass over the table: a cell (b, c) makes its value a product of
+    # others unless it is b or c, which also rules out the identity's row
+    # and column (e*c = c, b*e = b).
+    idx = np.arange(n)
+    cells = (M.table != idx[:, None]) & (M.table != idx[None, :])
+    product = np.zeros(n, dtype=bool)
+    product[M.table[cells]] = True
+    required = [a for a in range(n) if a != e and not product[a]]
+    optional = [a for a in range(n) if a != e and product[a]]
     for size in range(0, len(optional) + 1):
         for extra in itertools.combinations(optional, size):
             combo = sorted(required + list(extra))

@@ -9,10 +9,16 @@ context.  The anchored search must return the identical step -- rule,
 direction, substitution (with its key order), left and right context -- on
 every input, including ``None`` when no single step exists.
 
-``oracle_successors`` is the former body of ``deduction.successors``: it
+``oracle_successors`` is the first body of ``deduction.successors``: it
 enumerates every substitution with ``match_pattern``, then every position
-of its image in u.  ``successors`` matches from each start of u instead
-and must return the identical list.
+of its image in u.  ``enumerating_successors`` is the body that replaced
+it: every embedding of a rule side, matched from each start of u with
+``extend_match``.  ``successors`` still runs that loop on rule directions
+with at most one filler letter, and anchors the others on the part of the
+rule that changes; it must return the identical list.  On the sigma(n) rules
+the enumeration costs about 10x more per stage, so the words of
+``sigma_step_4`` and ``sigma_step_5`` and the Fig4 search regime are
+checked against ``enumerating_successors`` only.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from monoidlab.deduction import (
     E1_BASIS,
     DerivationStep,
     bundled_scripts,
+    derive_bounded,
     directly_deducible,
     successors,
 )
@@ -31,11 +38,13 @@ from monoidlab.words import (
     EMPTY,
     Identity,
     Word,
+    extend_match,
     match_exact,
     match_pattern,
     parse_identity,
     parse_word,
     sigma,
+    sigma_infinity,
 )
 
 
@@ -66,6 +75,32 @@ def oracle_successors(
                     if result != u:
                         out.add(result)
     return sorted(out)
+
+
+def enumerating_successors(
+    u: Word, rules: Sequence[Identity], *, max_length: int | None = None
+) -> list[Word]:
+    """All words one rule application away from u, by matching every
+    embedding of each rule side from each start of u; variables only on
+    the replacement side map to the empty word."""
+    ut = u.letters
+    out: set[tuple[str, ...]] = set()
+    bindings: dict[str, tuple[str, ...]] = {}
+    replacement: tuple[str, ...] = ()
+    start = 0
+
+    def emit(stop: int) -> None:
+        image = tuple(x for c in replacement for x in bindings.get(c, ()))
+        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
+            out.add(ut[:start] + image + ut[stop:])
+
+    for rule in rules:
+        for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
+            replacement = q.letters
+            for start in range(len(ut) + 1):
+                extend_match(p.letters, ut, (start,), None, bindings, emit)
+    out.discard(ut)
+    return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 
 
 def oracle_directly_deducible(
@@ -135,10 +170,12 @@ RULE_SETS = (
     E1_BASIS + (COMMUTE, GROW, sigma(1)),
 )
 
-#: Scripts whose single link is too costly for the oracle: it lists every
-#: embedding of sigma(n) into sigma(n+1), about 10x more per stage (4.5 s
-#: and 800 MB at n = 5).  Their steps are pinned to the closed form below,
-#: which the oracle confirms for n <= 4.
+#: Scripts too costly for ``oracle_directly_deducible`` and
+#: ``oracle_successors``: each lists every embedding of sigma(n) into
+#: sigma(n+1), about 10x more per stage (4.5 s and 800 MB at n = 5).  Their
+#: steps are pinned to the closed form below, which the oracle confirms for
+#: n <= 4; the successors of sigma_step_5's words are checked against
+#: ``enumerating_successors`` (about 6 s per word) instead.
 ORACLE_TOO_SLOW = ("sigma_step_5", "sigma_step_6", "sigma_step_7", "sigma_step_8")
 
 
@@ -300,3 +337,99 @@ def test_successors_agree_with_oracle_on_bundled_script_words():
             _assert_same_successors(u, script.rules)
             checked += 1
     assert checked == 65
+
+
+def _assert_same_as_enumerating(u: Word, rules: Sequence[Identity]) -> int:
+    """Compare with ``enumerating_successors`` at caps None, len(u) and
+    len(u) + 2; returns the uncapped successor count.  The oracle's cap only
+    drops outputs longer than it, so its capped lists are its uncapped one
+    filtered by length: one enumeration serves all three caps."""
+    want = enumerating_successors(u, rules)
+    for m in (None, len(u), len(u) + 2):
+        capped = [w for w in want if m is None or len(w) <= m]
+        assert successors(u, rules, max_length=m) == capped, (u, rules, m)
+    return len(want)
+
+
+def test_successors_agree_with_enumeration_on_sigma_step_words():
+    scripts = bundled_scripts()
+    for name in ("sigma_step_4", "sigma_step_5"):
+        script = scripts[name]
+        for u in script.words:
+            # Each word's only successor is the other word of the step.
+            assert _assert_same_as_enumerating(u, script.rules) == 1
+
+
+def test_successors_agree_with_enumeration_in_the_fig4_regime():
+    # The searches behind the Fig4 stage edges: words over x, y, h of up to
+    # 11 letters under the E^1 basis plus one stage identity.
+    rng = random.Random(20261020)
+    rule_sets = tuple(E1_BASIS + (sigma(n),) for n in (2, 3, 4))
+    nonempty = 0
+    for i in range(200):
+        u = Word(rng.choice("xyh") for _ in range(rng.randint(0, 11)))
+        nonempty += _assert_same_as_enumerating(u, rule_sets[i % 3]) > 0
+    assert nonempty > 150
+
+
+#: Rules whose directions cover both paths of ``successors``: at least two
+#: filler letters (in neither changing part) or at most one, and a
+#: variable of the changing part of q that only the context binds.
+ANCHOR_RULES = tuple(
+    parse_identity(text)
+    for text in (
+        "h x k y = h x y k",
+        "x h y k x = x h z k x",
+        "x h g y x = x h g x x",
+        "h k x = h k x x",
+        "h g x y h = h g y x h",
+        "x y h g x = x y h g",
+        "h x k x = h k x x",
+        "h g = g h",
+    )
+)
+
+
+def test_successors_agree_with_enumeration_on_anchor_rules():
+    rng = random.Random(20261021)
+    rule_sets = tuple((rule,) for rule in ANCHOR_RULES) + (ANCHOR_RULES, (sigma(1), sigma_infinity()))
+    nonempty = 0
+    for i in range(600):
+        u = Word(rng.choice("xyhz") for _ in range(rng.randint(0, 8)))
+        nonempty += _assert_same_as_enumerating(u, rule_sets[i % len(rule_sets)]) > 0
+    assert nonempty > 400
+
+
+def test_fig4_stage_searches_unchanged():
+    # derive_bounded as lattice._derives_all runs it on the Fig4 stage
+    # edges; status, explored count and script captured before successors
+    # was anchored.
+    cases = (
+        (sigma(2), sigma(3), 9, (sigma(3).lhs, sigma(3).rhs)),
+        (sigma(3), sigma(4), 10, (sigma(4).lhs, sigma(4).rhs)),
+        (
+            sigma(3),
+            sigma_infinity(),
+            383,
+            tuple(
+                parse_word(w)
+                for w in (
+                    "x^2 y^2 h x^2 y^2",
+                    "x^4 y^2 h x^2 y^2",
+                    "x^2 y^2 x^2 h x^2 y^2",
+                    "x^2 y^2 x^2 h y^2 x^2",
+                    "x^4 y^2 h y^2 x^2",
+                    "x^2 y^2 h y^2 x^2",
+                )
+            ),
+        ),
+    )
+    for lower, upper, explored, words in cases:
+        out = derive_bounded(
+            upper.lhs,
+            upper.rhs,
+            E1_BASIS + (lower,),
+            max_words=20_000,
+            max_length=len(upper.lhs) + 2,
+        )
+        assert (out.status, out.explored, out.script.words) == ("found", explored, words)

@@ -28,8 +28,14 @@ its ``src/monoidlab`` files, which tells uncommitted changes apart):
 
 ``perfbench`` runs with seed ``SEED`` for ``SECONDS`` per workload; each
 other timed command runs ``REPEAT`` times, every time is kept, and the
-median is reported beside them.  The file written is ``BENCH_<pr>.json`` at
-the root of this repository.  Nothing under ``perfbench/`` is changed.
+median is reported beside them.  Raw times drift with the host (1.8x
+between BENCH files on identical source), so each of those three also
+records ``gauge_s``: the fastest of ``GAUGE_RUNS`` runs of perfbench's
+speed gauge (``gauge`` in this repository's ``perfbench/run.py``), taken
+just before its command.  ``median_s * gauge_ref_s / gauge_s`` is the
+median at the gauge's reference speed, the scale of perfbench's own times.
+The file written is ``BENCH_<pr>.json`` at the root of this repository.
+Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -49,6 +56,20 @@ HERE = pathlib.Path(__file__).resolve().parent
 SEED = 1
 SECONDS = 30
 REPEAT = 3
+GAUGE_RUNS = 5
+
+
+def _load_perfbench_run():
+    """``perfbench/run.py`` as a module, for its speed gauge.  Importing it
+    pins numpy's thread variables in ``os.environ``; they are put back, so
+    the timed commands run in the environment they always had."""
+    saved = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("perfbench_run", HERE.parent / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    os.environ.clear()
+    os.environ.update(saved)
+    return module
 
 ISOTERM_RUN = """
 import json, time
@@ -73,12 +94,13 @@ def run(root: pathlib.Path, args: list[str], timeout: float) -> tuple[float, sub
     return seconds, proc
 
 
-def timed(root: pathlib.Path, args: list[str], timeout: float) -> dict:
+def timed(root: pathlib.Path, args: list[str], timeout: float, gauge) -> dict:
+    gauge_s = gauge()
     times, last = [], None
     for _ in range(REPEAT):
         seconds, last = run(root, args, timeout)
         times.append(seconds)
-    return {"median_s": statistics.median(times), "runs_s": times,
+    return {"median_s": statistics.median(times), "runs_s": times, "gauge_s": gauge_s,
             "last_line": last.stdout.strip().splitlines()[-1] if last.stdout.strip() else ""}
 
 
@@ -101,8 +123,14 @@ def record(root: pathlib.Path) -> dict:
     py = sys.executable
     cache = root / "src" / "monoidlab" / "__pycache__"
     cache_at_start = cache.is_dir()
+    perfbench_run = _load_perfbench_run()
+
+    def gauge() -> float:
+        return min(perfbench_run.gauge() for _ in range(GAUGE_RUNS))
+
     bench = run(root, [py, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
                        "--seconds", str(SECONDS)], timeout=3600)[1]
+    isoterm_gauge_s = gauge()
     isoterm_runs = [json.loads(run(root, [py, "-c", ISOTERM_RUN], 600)[1].stdout)
                     for _ in range(REPEAT)]
     result = {
@@ -111,12 +139,14 @@ def record(root: pathlib.Path) -> dict:
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
         "perfbench": {"seed": SEED, "seconds": SECONDS,
                       "result": json.loads(bench.stdout.splitlines()[-1])},
-        "verify_paper_s": timed(root, [py, "-m", "monoidlab.cli", "verify-paper"], 600),
+        "gauge_ref_s": perfbench_run.GAUGE_REF_S,
+        "verify_paper_s": timed(root, [py, "-m", "monoidlab.cli", "verify-paper"], 600, gauge),
         "tier1": timed(root, [py, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                              "-p", "no:cacheprovider"], 3600),
+                              "-p", "no:cacheprovider"], 3600, gauge),
         "isoterm_wn_xyxy4": {
             "median_s": statistics.median(r["seconds"] for r in isoterm_runs),
             "runs_s": [r["seconds"] for r in isoterm_runs],
+            "gauge_s": isoterm_gauge_s,
             "kind": isoterm_runs[-1]["kind"],
             "bound": isoterm_runs[-1]["bound"],
         },
