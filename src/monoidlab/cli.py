@@ -184,10 +184,7 @@ def monoid_product(first: str, second: str, as_json: bool) -> None:
 @json_option
 def monoid_rees(words: tuple[str, ...], as_json: bool) -> None:
     """Monoid of all factors of the given words, with a zero for the rest."""
-    try:
-        M = rees_quotient(tuple(_parse_word_arg(w) for w in words))
-    except ValueError as exc:
-        raise _usage(str(exc)) from exc
+    M = rees_quotient(tuple(_parse_word_arg(w) for w in words))
     _emit_json(monoid_to_json_dict(M)) if as_json else click.echo(format_monoid_text(M), nl=False)
 
 

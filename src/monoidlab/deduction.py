@@ -9,9 +9,10 @@ neighbourhoods ``successors`` lists.
 
 Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
 (``_split_rule``): only P changes.  ``directly_deducible`` matches P on
-the windows where u and v differ; ``successors`` matches P from every start
-when the rule has two or more filler letters (letters of p outside P and
-Q, which only place the rewrite), and otherwise every embedding of p.
+the windows where u and v differ; ``successors`` matches P from every
+start, grown over the context up to the nearest filler on each side (a
+letter of p outside P and Q, which only places the rewrite).  Both extend a
+solution into the rest of the context with ``_extend_into_context``.
 
 The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
@@ -32,6 +33,7 @@ from .words import (
     Identity,
     Word,
     _common_prefix,
+    _split_rule,
     format_identity,
     extend_match,
     format_word,
@@ -102,16 +104,34 @@ class DerivationStep:
         )
 
 
-def _split_rule(
-    p: tuple[str, ...], q: tuple[str, ...]
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """(A, P, Q, B) with p = A·P·B and q = A·Q·B: A is the longest common
-    prefix of the two sides and B the longest common suffix of what is left,
-    so a rewrite by p -> q changes only the part matched by P."""
-    a = _common_prefix(p, q)
-    p_rest, q_rest = p[a:], q[a:]
-    b = _common_prefix(p_rest[::-1], q_rest[::-1])
-    return p[:a], p_rest[: len(p_rest) - b], q_rest[: len(q_rest) - b], p_rest[len(p_rest) - b :]
+def _extend_into_context(
+    ut: tuple[str, ...],
+    s: int,
+    e: int,
+    head: tuple[str, ...],
+    tail: tuple[str, ...],
+    bindings: Mapping[str, tuple[str, ...]],
+    emit,
+) -> None:
+    """Extend a solution on the window ut[s:e] into its context on ut:
+    ``tail`` is matched forward from e, then ``head`` backward from s
+    (reversed, on the reversed prefix), with the images in ``bindings``
+    fixed.  Calls ``emit(images, head_length)`` once per solution, with
+    every variable's image read forward and head's image starting at
+    s - head_length.  ``bindings`` is left as it was, even when ``emit``
+    raises to end the search at its first solution."""
+    forward = dict(bindings)
+    reversed_bindings: dict[str, tuple[str, ...]] = {}
+
+    def on_head(stop: int) -> None:
+        emit({c: t[::-1] for c, t in reversed_bindings.items()}, stop)
+
+    def on_tail(_stop: int) -> None:
+        nonlocal reversed_bindings
+        reversed_bindings = {c: t[::-1] for c, t in forward.items()}
+        extend_match(head[::-1], ut[:s][::-1], (0,), None, reversed_bindings, on_head)
+
+    extend_match(tail, ut, (e,), None, forward, on_tail)
 
 
 def _least_step(
@@ -124,45 +144,35 @@ def _least_step(
     ``_split_rule``), every valid step has theta(P) = ut[s:e] and
     theta(Q) = vt[s:e+delta] for a window with s <= lcp and
     e >= len(ut) - lcs.  Each such window is solved exactly, P on ut
-    jointly with Q on vt, and only then is the solution extended on ut: B
-    to the right from e, and A to the left from s (matched reversed).
+    jointly with Q on vt, and only then is the solution extended on ut by
+    ``_extend_into_context``: B to the right from e, A to the left from s.
     """
     a_side, p_mid, q_mid, b_side = _split_rule(p.letters, q.letters)
-    a_rev = a_side[::-1]
     p_vars = sorted(p.content())
     one_sided = sorted(q.content() - p.content())
     nu, delta = len(ut), len(vt) - len(ut)
 
     best: tuple | None = None
     bindings: dict[str, tuple[str, ...]] = {}
-    reversed_bindings: dict[str, tuple[str, ...]] = {}
     s = e = 0
-    prefix_rev: tuple[str, ...] = ()
 
-    def on_a(stop: int) -> None:
+    def on_context(images: dict[str, tuple[str, ...]], head_length: int) -> None:
         nonlocal best
-        images = {c: t[::-1] for c, t in reversed_bindings.items()}
         key = (
             tuple(images[c] for c in p_vars),
-            s - stop,
+            s - head_length,
             tuple(images[c] for c in one_sided),
         )
         if best is None or key < best[0]:
             best = (key, images)
 
-    def on_b(_stop: int) -> None:
-        nonlocal reversed_bindings
-        reversed_bindings = {c: t[::-1] for c, t in bindings.items()}
-        extend_match(a_rev, prefix_rev, (0,), None, reversed_bindings, on_a)
-
     def on_q(_stop: int) -> None:
-        extend_match(b_side, ut, (e,), None, bindings, on_b)
+        _extend_into_context(ut, s, e, a_side, b_side, bindings, on_context)
 
     def on_p(_stop: int) -> None:
         extend_match(q_mid, vt, (s,), e + delta, bindings, on_q)
 
     for s in range(lcp + 1):
-        prefix_rev = ut[:s][::-1]
         for e in range(max(s, s - delta, nu - lcs), nu + 1):
             extend_match(p_mid, ut, (s,), e, bindings, on_p)
 
@@ -245,7 +255,7 @@ class _Extends(Exception):
     """Ends an extension search at its first solution."""
 
 
-def _stop_at_first(_stop: int) -> None:
+def _stop_at_first(_images: Mapping[str, tuple[str, ...]], _head_length: int) -> None:
     raise _Extends
 
 
@@ -259,118 +269,101 @@ def successors(
     instantiated with the empty word (their image is otherwise unbounded);
     the bounded search makes no completeness claim in that case.
 
-    Each rule direction p -> q is split as p = A·P·B and q = A·Q·B
-    (``_split_rule``).  A letter of p outside P and Q -- a filler, like
-    h_1..h_n of ``sigma(n)`` -- only places the rewrite: its image never
-    reaches the output, yet each filler multiplies the embeddings of p by
-    up to len(u).  So a direction with at least two fillers is anchored on
-    the part that changes (``_anchored_rewrites``): P is matched from each
-    start, and the context A·B is asked for one extension only.  A
-    direction with fewer fillers enumerates every embedding of p
-    (``_embedding_rewrites``): matching p whole pins each repeated variable
-    at its first occurrence, which matching P alone with an open end does
-    not.  Per rule on the sigma words, anchoring measured 1.2-4x slower on
-    the E^1 basis (at most one filler per direction) and 15-300x faster on
-    ``sigma(2..4)``.
+    Every rule direction is matched by ``_anchored_rewrites``: only the
+    part of p around the letters that change is matched from each start,
+    and the rest of p is asked for one extension.
     """
     ut = u.letters
     out: set[tuple[str, ...]] = set()
     for rule in rules:
         for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            split = _split_rule(p.letters, q.letters)
-            fillers = p.content() - set(split[1]) - set(split[2])
-            if len(fillers) >= 2:
-                _anchored_rewrites(ut, split, max_length, out)
-            else:
-                _embedding_rewrites(ut, p.letters, q.letters, max_length, out)
+            _anchored_rewrites(ut, p.letters, q.letters, max_length, out)
     out.discard(ut)
     # shortlex on the letter tuples: the order of the Words built from them
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 
 
-def _embedding_rewrites(
+def _anchored_rewrites(
     ut: tuple[str, ...],
     p: tuple[str, ...],
     q: tuple[str, ...],
     max_length: int | None,
     out: set[tuple[str, ...]],
 ) -> None:
-    """Add to ``out`` the rewrite of ut at every embedding of p (theta and
-    start), replacing theta(p) with theta(q)."""
+    """Add to ``out`` every rewrite of ut by p -> q, u itself possibly
+    among them.
+
+    With p = A·P·B and q = A·Q·B (``_split_rule``), only the part matched
+    by P changes.  A filler -- a letter of A·B in neither P nor Q, like
+    h_1..h_n of ``sigma(n)`` -- only places the rewrite: its image never
+    reaches the output, yet each filler multiplies the embeddings of p by
+    up to len(u).  So A = A1·A2 and B = B1·B2 are cut at the filler nearest
+    to P on each side (A2 and B1 hold none), and the anchor A2·P·B1 is
+    matched from every start t with an open end: a solution ending at stop
+    gives the window s = t + |theta(A2)|, e = stop - |theta(B1)| and the
+    word ut[:s]·theta(Q)·ut[e:].  The letters the anchor keeps beside P
+    repeat variables of P or Q, and matching them with P pins those
+    variables as matching p whole would.  With no filler the anchor is p,
+    and each solution is a rewrite.
+
+    Otherwise a candidate that is a no-op, longer than ``max_length`` or
+    already in ``out`` is dropped before the context is matched; B2 is then
+    matched forward from stop and A1 backward from t
+    (``_extend_into_context``), and the first solution admits the word.
+    When a variable of Q outside the anchor is bound only by A1 or B2, its
+    image comes from the context, so every extension is enumerated and each
+    distinct image is a rewrite."""
+    a_side, p_mid, q_mid, b_side = _split_rule(p, q)
+    changing = set(p_mid) | set(q_mid)
+    cut_a = len(a_side)
+    while cut_a and a_side[cut_a - 1] in changing:
+        cut_a -= 1
+    cut_b = 0
+    while cut_b < len(b_side) and b_side[cut_b] in changing:
+        cut_b += 1
+    head, a_near = a_side[:cut_a], a_side[cut_a:]
+    b_near, tail = b_side[:cut_b], b_side[cut_b:]
+    anchor = a_near + p_mid + b_near
+    deferred = bool((set(q_mid) - set(anchor)) & set(head + tail))
     bindings: dict[str, tuple[str, ...]] = {}
-    start = 0
+    t = s = e = 0
 
-    def emit(stop: int) -> None:
-        image = tuple(x for c in q for x in bindings.get(c, ()))
-        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
-            out.add(ut[:start] + image + ut[stop:])
-
-    for start in range(len(ut) + 1):
-        extend_match(p, ut, (start,), None, bindings, emit)
-
-
-def _anchored_rewrites(
-    ut: tuple[str, ...],
-    split: tuple[tuple[str, ...], ...],
-    max_length: int | None,
-    out: set[tuple[str, ...]],
-) -> None:
-    """Add to ``out`` every rewrite of ut by A·P·B -> A·Q·B (``split``),
-    matching only P: each solution of P from a start s with an open end e
-    gives the word ut[:s]·theta(Q)·ut[e:].  A candidate that is a no-op,
-    longer than ``max_length`` or already in ``out`` is dropped before any
-    context is matched; otherwise B is matched forward from e and A
-    backward from s, and the first solution admits the word.  When a
-    variable of Q outside P is bound only by A or B, its image comes from
-    the context, so every extension is enumerated and each distinct image
-    is a rewrite."""
-    a_side, p_mid, q_mid, b_side = split
-    a_rev = a_side[::-1]
-    deferred = bool((set(q_mid) - set(p_mid)) & set(a_side + b_side))
-    bindings: dict[str, tuple[str, ...]] = {}
-    forward_bindings: dict[str, tuple[str, ...]] = {}
-    reversed_bindings: dict[str, tuple[str, ...]] = {}
-    s = e = 0
-    prefix_rev: tuple[str, ...] = ()
-
-    def rewrite(theta: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
-        image = tuple(x for c in q_mid for x in theta.get(c, ()))
-        if image == ut[s:e]:
-            return None
+    def rewrite(images: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+        image = tuple(x for c in q_mid for x in images.get(c, ()))
         if max_length is not None and len(ut) - (e - s) + len(image) > max_length:
             return None
         return ut[:s] + image + ut[e:]
 
-    def on_a(_stop: int) -> None:
-        word = rewrite({c: t[::-1] for c, t in reversed_bindings.items()})
+    def on_context(images: Mapping[str, tuple[str, ...]], _head_length: int) -> None:
+        word = rewrite(images)
         if word is not None:
             out.add(word)
 
-    def on_b(_stop: int) -> None:
-        nonlocal reversed_bindings
-        reversed_bindings = {c: t[::-1] for c, t in forward_bindings.items()}
-        found = on_a if deferred else _stop_at_first
-        extend_match(a_rev, prefix_rev, (0,), None, reversed_bindings, found)
+    def on_anchor(stop: int) -> None:
+        nonlocal s, e
+        s, e = t, stop
+        for c in a_near:
+            s += len(bindings[c])
+        for c in b_near:
+            e -= len(bindings[c])
+        if deferred:
+            _extend_into_context(ut, t, stop, head, tail, bindings, on_context)
+            return
+        word = rewrite(bindings)
+        if word is not None and word != ut and word not in out:
+            try:
+                _extend_into_context(ut, t, stop, head, tail, bindings, _stop_at_first)
+            except _Extends:
+                out.add(word)
 
-    def on_p(stop: int) -> None:
-        nonlocal e, forward_bindings
-        e = stop
-        word = None
-        if not deferred:
-            word = rewrite(bindings)
-            if word is None or word in out:
-                return
-        # A copy: the first solution ends the search by raising, which
-        # leaves the context's bindings in place.
-        forward_bindings = dict(bindings)
-        try:
-            extend_match(b_side, ut, (e,), None, forward_bindings, on_b)
-        except _Extends:
-            out.add(word)
+    def on_whole(stop: int) -> None:
+        image = tuple(x for c in q for x in bindings.get(c, ()))
+        if max_length is None or len(ut) - (stop - t) + len(image) <= max_length:
+            out.add(ut[:t] + image + ut[stop:])
 
-    for s in range(len(ut) + 1):
-        prefix_rev = ut[:s][::-1]
-        extend_match(p_mid, ut, (s,), None, bindings, on_p)
+    emit = on_anchor if head or tail else on_whole
+    for t in range(len(ut) + 1):
+        extend_match(anchor, ut, (t,), None, bindings, emit)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .monoids import FiniteMonoid, generated_indices
-from .words import Identity, Word, _common_prefix, extend_match
+from .words import Identity, Word, _split_rule, extend_match
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -317,16 +317,10 @@ class _LinearSplit:
 
 
 def _linear_split(ident: Identity) -> _LinearSplit:
-    u, v = ident.lhs.letters, ident.rhs.letters
-    a = _common_prefix(u, v)
-    b = _common_prefix(u[a:][::-1], v[a:][::-1])
-    shared = u[:a] + u[len(u) - b :]
+    prefix, lhs, rhs, suffix = _split_rule(ident.lhs.letters, ident.rhs.letters)
     u_count, v_count = ident.lhs.occurrences(), ident.rhs.occurrences()
-    linear = frozenset(c for c in shared if u_count[c] == 1 and v_count[c] == 1)
-    return _LinearSplit(
-        Word(u[:a]), Word(u[a : len(u) - b]), Word(v[a : len(v) - b]),
-        Word(u[len(u) - b :]), linear,
-    )
+    linear = frozenset(c for c in prefix + suffix if u_count[c] == 1 and v_count[c] == 1)
+    return _LinearSplit(Word(prefix), Word(lhs), Word(rhs), Word(suffix), linear)
 
 
 def _elimination_failures(space: _AssignmentSpace, split: _LinearSplit) -> np.ndarray:

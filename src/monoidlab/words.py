@@ -235,6 +235,18 @@ def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return i
 
 
+def _split_rule(
+    p: tuple[str, ...], q: tuple[str, ...]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """(A, P, Q, B) with p = A·P·B and q = A·Q·B: A is the longest common
+    prefix of the two sides and B the longest common suffix of what is left,
+    so a rewrite by p -> q changes only the part matched by P."""
+    a = _common_prefix(p, q)
+    p_rest, q_rest = p[a:], q[a:]
+    b = _common_prefix(p_rest[::-1], q_rest[::-1])
+    return p[:a], p_rest[: len(p_rest) - b], q_rest[: len(q_rest) - b], p_rest[len(p_rest) - b :]
+
+
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ every input, including ``None`` when no single step exists.
 enumerates every substitution with ``match_pattern``, then every position
 of its image in u.  ``enumerating_successors`` is the body that replaced
 it: every embedding of a rule side, matched from each start of u with
-``extend_match``.  ``successors`` still runs that loop on rule directions
-with at most one filler letter, and anchors the others on the part of the
-rule that changes; it must return the identical list.  On the sigma(n) rules
-the enumeration costs about 10x more per stage, so the words of
-``sigma_step_4`` and ``sigma_step_5`` and the Fig4 search regime are
-checked against ``enumerating_successors`` only.
+``extend_match``.  ``successors`` matches only an anchor: the part of a
+rule direction that changes, grown over the context up to the nearest
+filler letter on each side (the whole side when it has none), and asks the
+rest of the side for one extension; it must return the identical list.  On
+the sigma(n) rules the enumeration costs about 10x more per stage, so the
+words of ``sigma_step_4`` and ``sigma_step_5`` and the Fig4 search regime
+are checked against ``enumerating_successors`` only.
 """
 
 from __future__ import annotations
@@ -372,9 +373,11 @@ def test_successors_agree_with_enumeration_in_the_fig4_regime():
     assert nonempty > 150
 
 
-#: Rules whose directions cover both paths of ``successors``: at least two
-#: filler letters (in neither changing part) or at most one, and a
-#: variable of the changing part of q that only the context binds.
+#: Rules whose directions cover the anchor shapes of ``successors``: filler
+#: letters (in neither changing part) on one side of the change, on both or
+#: on none; an anchor grown over letters that repeat its variables, and a
+#: filler past such a letter; a variable of the changing part of q bound
+#: inside the grown anchor, or only by the context beyond it.
 ANCHOR_RULES = tuple(
     parse_identity(text)
     for text in (
@@ -386,6 +389,9 @@ ANCHOR_RULES = tuple(
         "x y h g x = x y h g",
         "h x k x = h k x x",
         "h g = g h",
+        "x h y h x = x h x h x",
+        "z x = z z",
+        "x h x y = x h y x",
     )
 )
 
@@ -397,6 +403,18 @@ def test_successors_agree_with_enumeration_on_anchor_rules():
     for i in range(600):
         u = Word(rng.choice("xyhz") for _ in range(rng.randint(0, 8)))
         nonempty += _assert_same_as_enumerating(u, rule_sets[i % len(rule_sets)]) > 0
+    assert nonempty > 400
+
+
+def test_successors_agree_with_enumeration_on_random_rules():
+    # Rule sides of up to 6 letters over 5 letters: most directions have no
+    # filler, so their anchor is the whole side.
+    rng = random.Random(20261022)
+    nonempty = 0
+    for _ in range(600):
+        sides = (Word(rng.choice("xyhgz") for _ in range(rng.randint(0, 6))) for _ in range(2))
+        u = Word(rng.choice("xyhgz") for _ in range(rng.randint(0, 8)))
+        nonempty += _assert_same_as_enumerating(u, (Identity(*sides),)) > 0
     assert nonempty > 400
 
 
