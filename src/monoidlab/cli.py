@@ -48,6 +48,7 @@ from .lattice import (
 )
 from .manifest import (
     ManifestError,
+    _error_text,
     bundled_manifest_text,
     parse_manifest,
     run_entries,
@@ -76,15 +77,15 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
+def _emit_monoid(M: FiniteMonoid, as_json: bool) -> None:
+    if as_json:
+        _emit_json(monoid_to_json_dict(M))
+    else:
+        click.echo(format_monoid_text(M), nl=False)
+
+
 def _usage(message: str) -> click.UsageError:
     return click.UsageError(message)
-
-
-def _error_text(exc: BaseException) -> str:
-    # KeyError stringifies to the repr of its argument; unwrap it.
-    if isinstance(exc, KeyError) and exc.args:
-        return str(exc.args[0])
-    return str(exc)
 
 
 def _resolve_monoid(ref: str) -> FiniteMonoid:
@@ -142,11 +143,7 @@ def monoid() -> None:
 @json_option
 def monoid_show(target: str, as_json: bool) -> None:
     """Print a monoid (catalog name or monoid file) with its full table."""
-    M = _resolve_monoid(target)
-    if as_json:
-        _emit_json(monoid_to_json_dict(M))
-    else:
-        click.echo(format_monoid_text(M), nl=False)
+    _emit_monoid(_resolve_monoid(target), as_json)
 
 
 @monoid.command("validate")
@@ -176,7 +173,7 @@ def monoid_validate(target: str, as_json: bool) -> None:
 def monoid_product(first: str, second: str, as_json: bool) -> None:
     """Direct product of two monoids, printed as a monoid file."""
     P = direct_product(_resolve_monoid(first), _resolve_monoid(second))
-    _emit_json(monoid_to_json_dict(P)) if as_json else click.echo(format_monoid_text(P), nl=False)
+    _emit_monoid(P, as_json)
 
 
 @monoid.command("rees")
@@ -185,7 +182,7 @@ def monoid_product(first: str, second: str, as_json: bool) -> None:
 def monoid_rees(words: tuple[str, ...], as_json: bool) -> None:
     """Monoid of all factors of the given words, with a zero for the rest."""
     M = rees_quotient(tuple(_parse_word_arg(w) for w in words))
-    _emit_json(monoid_to_json_dict(M)) if as_json else click.echo(format_monoid_text(M), nl=False)
+    _emit_monoid(M, as_json)
 
 
 @monoid.command("adjoin1")
@@ -194,7 +191,7 @@ def monoid_rees(words: tuple[str, ...], as_json: bool) -> None:
 def monoid_adjoin1(target: str, as_json: bool) -> None:
     """Adjoin a fresh identity element."""
     M = adjoin_identity(_resolve_monoid(target))
-    _emit_json(monoid_to_json_dict(M)) if as_json else click.echo(format_monoid_text(M), nl=False)
+    _emit_monoid(M, as_json)
 
 
 # ---------------------------------------------------------------------------

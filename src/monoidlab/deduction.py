@@ -8,11 +8,13 @@ breadth-first search over the (symmetric) one-step relation, whose
 neighbourhoods ``successors`` lists.
 
 Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
-(``_split_rule``): only P changes.  ``directly_deducible`` matches P on
-the windows where u and v differ; ``successors`` matches P from every
-start, grown over the context up to the nearest filler on each side (a
-letter of p outside P and Q, which only places the rewrite).  Both extend a
-solution into the rest of the context with ``_extend_into_context``.
+(``_split_rule``): only P changes, and both match it once from each start
+with an open end.  ``directly_deducible`` starts P within the common prefix
+of u and v and keeps the stops within their common suffix; ``successors``
+starts it everywhere, grown over the context up to the nearest filler on
+each side (a letter of p outside P and Q, which only places the rewrite).
+Both extend a solution into the rest of the context with
+``_extend_into_context``.
 
 The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
@@ -143,9 +145,12 @@ def _least_step(
     the variables only in q) order.  With p = A·P·B and q = A·Q·B (see
     ``_split_rule``), every valid step has theta(P) = ut[s:e] and
     theta(Q) = vt[s:e+delta] for a window with s <= lcp and
-    e >= len(ut) - lcs.  Each such window is solved exactly, P on ut
-    jointly with Q on vt, and only then is the solution extended on ut by
-    ``_extend_into_context``: B to the right from e, A to the left from s.
+    e >= len(ut) - lcs.  So P is matched once from each start s <= lcp
+    with an open end, and a stop e is kept only when e >= len(ut) - lcs
+    (then e + delta >= len(vt) - lcs >= 0).  Q is solved on vt jointly,
+    from s to exactly e + delta, and only then is the solution extended on
+    ut by ``_extend_into_context``: B to the right from e, A to the left
+    from s.
     """
     a_side, p_mid, q_mid, b_side = _split_rule(p.letters, q.letters)
     p_vars = sorted(p.content())
@@ -154,7 +159,7 @@ def _least_step(
 
     best: tuple | None = None
     bindings: dict[str, tuple[str, ...]] = {}
-    s = e = 0
+    s = 0
 
     def on_context(images: dict[str, tuple[str, ...]], head_length: int) -> None:
         nonlocal best
@@ -166,15 +171,13 @@ def _least_step(
         if best is None or key < best[0]:
             best = (key, images)
 
-    def on_q(_stop: int) -> None:
-        _extend_into_context(ut, s, e, a_side, b_side, bindings, on_context)
-
-    def on_p(_stop: int) -> None:
-        extend_match(q_mid, vt, (s,), e + delta, bindings, on_q)
+    def on_p(e: int) -> None:
+        if e >= nu - lcs:
+            extend_match(q_mid, vt, (s,), e + delta, bindings, lambda _stop:
+                         _extend_into_context(ut, s, e, a_side, b_side, bindings, on_context))
 
     for s in range(lcp + 1):
-        for e in range(max(s, s - delta, nu - lcs), nu + 1):
-            extend_match(p_mid, ut, (s,), e, bindings, on_p)
+        extend_match(p_mid, ut, (s,), None, bindings, on_p)
 
     if best is None:
         return None
@@ -189,17 +192,18 @@ def directly_deducible(
     """The first single derivation step turning u into v, or None.
 
     Deterministic order: rules in the given order, each used forward then
-    backward; within one rule direction, the least substitution in the
-    sorted order of the matcher (``match_pattern``), then the leftmost
-    position, then the least image of the variables occurring only on the
-    replacement side (solved against v, so the check is exact for
-    arbitrary rules).  This is the first step an exhaustive search in that
-    order would find.
+    backward; within one rule direction, the least images of the variables
+    of p (compared as letter tuples, variables in sorted order), then the
+    leftmost position, then the least images of the variables occurring
+    only on the replacement side, in the same order (solved against v, so
+    the check is exact for arbitrary rules).  This is the first step an
+    exhaustive search in that order would find.
 
     The search is anchored on where u and v differ rather than on every
     embedding of the rule into u: only the part of the rule where its two
-    sides differ is matched, and only on the windows that span the
-    difference between u and v (see ``_least_step``).
+    sides differ is matched, once from each start within the common prefix
+    of u and v, and a match counts only if it ends within their common
+    suffix (see ``_least_step``).
     """
     if u == v:
         return None
@@ -616,8 +620,7 @@ def to_canonical(
         )
     chain = _path_to_root(parent, found)[::-1]
     script = DerivationScript(rules=rules, words=tuple(chain))
-    if len(chain) > 1:
-        script.check()
+    script.check()
     from .equations import BudgetExceededError, satisfies
     from .monoids import catalog
 

@@ -314,6 +314,13 @@ def _run_entry(entry: ManifestEntry) -> EntryResult:
     return EntryResult(entry, True, "isomorphic", evidence)
 
 
+def _error_text(exc: BaseException) -> str:
+    # KeyError stringifies to the repr of its argument; unwrap it.
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def run_entries(entries, path: str | None = None) -> ManifestReport:
     """Execute parsed entries in order; failures never stop the run."""
     results = []
@@ -321,7 +328,7 @@ def run_entries(entries, path: str | None = None) -> ManifestReport:
         try:
             results.append(_run_entry(entry))
         except Exception as exc:  # bad monoid name, missing script file, ...
-            message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+            message = _error_text(exc)
             results.append(EntryResult(entry, False, f"error: {message}",
                                        {"error": message}))
     return ManifestReport(path, tuple(results))
