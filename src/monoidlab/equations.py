@@ -48,7 +48,9 @@ A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
 the tuple of its values under all n^k assignments, and the reachable tuples
 are explored breadth-first (so each class representative is the shortlex
-least word evaluating to it).  Representatives are closed under taking
+least word evaluating to it).  When M has a proper zero, the (n-1)^k
+assignments that avoid it and k content probes already tell the same words
+apart, and only those are kept.  Representatives are closed under taking
 factors, so, as in Froidure & Pin ("Algorithms for computing finite
 semigroups", 1997), most transitions are looked up from the suffix and
 left multiples of states already built; only a transition that could reach
@@ -498,12 +500,15 @@ def rel_free(
 ) -> RelFree:
     """Build the monoid of k-variable evaluation maps over M.
 
-    States are evaluation tuples in M^(n^k); the BFS from the identity tuple
-    follows right multiplication by the generators, so state representatives
-    are shortlex-minimal.  With ``track``/``track_images`` every state also
-    carries the value of its representative word in the tracked monoid
-    under generator i -> track_images[i]; the first tuple collision with a
-    differing tracked value is reported as a conflict and ends the search.
+    A state is the class of the words with the same value under every
+    assignment of M's n elements to the k generators, held as the tuple of
+    its values on assignments that separate those classes (below); the BFS
+    from the empty word follows right multiplication by the generators, so
+    state representatives are shortlex-minimal.  With
+    ``track``/``track_images`` every state also carries the value of its
+    representative word in the tracked monoid under generator i ->
+    track_images[i]; the first tuple collision with a differing tracked
+    value is reported as a conflict and ends the search.
 
     Most transitions are looked up rather than computed (Froidure & Pin,
     "Algorithms for computing finite semigroups", 1997).  A state u other
@@ -520,7 +525,22 @@ def rel_free(
     check runs on every transition either way.  Each state's tuple is kept
     once, as its ``bytes`` key.
 
-    Raises RelFreeCapExceeded if the tuple dimension n^k exceeds ``max_dim``.
+    The assignments kept separate the same words as all n^k do.  Let M
+    have a proper zero z (z != e), and let Z be the variables an assignment
+    t sends to z.  A word u whose content meets Z has u(t) = z; any other u
+    has u(t) = u(t'), where t' sends Z to e and so is zero-free.  Content
+    is read off the k probes p_i (x_i -> z, every other variable -> e):
+    u(p_i) = z iff x_i occurs in u.  So only the (n-1)^k zero-free
+    assignments and the k probes are kept.  Two words then have equal
+    tuples iff they have equal values under all n^k assignments, and right
+    multiplication acts on each assignment alone, so the BFS meets the same
+    states in the same order.  Without a proper zero (the trivial monoid's
+    zero is its identity) every assignment is kept.  The table is kept
+    column-major, with each generator's column of elements scaled by n
+    once, so the tuple of u·x_j is one gather, ``flat[col_j + tuple(u)]``.
+
+    Raises RelFreeCapExceeded if n^k exceeds ``max_dim`` (whatever the
+    number of assignments kept).
     Returns ``complete=False`` (with whatever was found) if the search ended
     at a conflict or the state count would exceed ``max_states``.
     """
@@ -539,12 +559,19 @@ def rel_free(
     if len(gen_names) != k:
         raise ValueError("generator name list must have length k")
 
+    # The zero-free assignments, then the k probes (see above).
+    digits = _AssignmentSpace(M, gen_names).digits
+    z = M.zero_index()
+    if z is not None and z != e:
+        probes = np.full((k, k), e, dtype=digits.dtype)
+        np.fill_diagonal(probes, z)
+        digits = np.hstack([digits[:, (digits != z).all(axis=0)], probes])
     # A list of rows, bound once: indexing the 2-D array on every step
     # of the search costs measurably more, and so does a gather through
-    # int32 rather than native indices.  The uint8 table gathers straight
-    # into a tuple's bytes.
-    gen_cols = list(_AssignmentSpace(M, gen_names).digits.astype(np.intp))
-    flat = M.flat.astype(np.uint8)
+    # int32 rather than native indices.  The uint8 table, column-major,
+    # gathers straight into a tuple's bytes.
+    gen_cols = list(digits.astype(np.intp) * n)
+    flat = np.ascontiguousarray(M.table.T, dtype=np.uint8).reshape(-1)
 
     tracked = None
     if track is not None:
@@ -555,7 +582,7 @@ def rel_free(
         track_table = track.table.tolist()
         tracked = [track.identity]
 
-    root = np.full(dim, e, dtype=np.uint8).tobytes()
+    root = np.full(digits.shape[1], e, dtype=np.uint8).tobytes()
     keys = [root]  # the tuple of each state, shared with ``index``
     index: dict[bytes, int] = {root: 0}
     parent = [-1]
@@ -596,8 +623,8 @@ def rel_free(
                     found = transitions[t][parent_letter[r]]
             if found < 0:
                 if cur is None:
-                    cur = np.frombuffer(keys[head], dtype=np.uint8).astype(np.intp) * n
-                key = flat.take(cur + gen_cols[j]).tobytes()
+                    cur = np.frombuffer(keys[head], dtype=np.uint8)
+                key = flat.take(gen_cols[j] + cur).tobytes()
                 found = index.get(key)
                 if found is None:
                     if len(keys) >= max_states:

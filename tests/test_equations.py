@@ -48,6 +48,7 @@ from monoidlab.equations import (
 )
 from monoidlab.lattice import load_figure
 from monoidlab.monoids import (
+    FiniteMonoid,
     adjoin_identity,
     catalog,
     direct_product,
@@ -545,10 +546,17 @@ def _rel_free_fields(rf):
     )
 
 
+def _has_proper_zero(M):
+    z = M.zero_index()
+    return z is not None and z != M.identity
+
+
 def test_rel_free_matches_dense_oracle():
     # Every field of the looked-up BFS against the dense one, uncapped and
     # under caps small enough that lookups meet skipped states (-1), and
-    # with tracked values so that conflicts end searches mid-row.
+    # with tracked values so that conflicts end searches mid-row.  The
+    # oracle keeps all n^k assignments, so this also checks that rel_free's
+    # zero-free assignments and probes separate the same words.
     default = 300_000
     # Uncapped, S3 has 8 * 3^17 states on 3 generators (4 * 3^5 = 972 on
     # 2) and more on 4, and O^1 has 26,217 on 4: too slow for the oracle.
@@ -571,7 +579,8 @@ def test_rel_free_matches_dense_oracle():
         gens = minimal_generating_set(A)
         for b_name in RELFREE_MONOIDS:
             B = catalog(b_name)
-            if B.order ** len(gens) > 300:
+            dim = B.order ** len(gens)
+            if dim > 300 and not (dim <= 3000 and _has_proper_zero(B)):
                 continue
             for cap in (default, 40):
                 if cap == default and (b_name, len(gens)) in too_large:
@@ -583,11 +592,25 @@ def test_rel_free_matches_dense_oracle():
                 conflicts += rf.conflict is not None
                 capped += not rf.complete and rf.conflict is None
     assert capped >= 20 and conflicts >= 20
-    # The cheap builds of the relfree benchmark, pinned here as well.
-    for name, k, size in (("M(xyx)", 4, 640), ("B0^1", 4, 1148), ("Q^1", 4, 1448)):
+    # The builds of the relfree benchmark, pinned here as well.
+    for name, k, size in (("M(xyx)", 4, 640), ("B0^1", 4, 1148), ("Q^1", 4, 1448),
+                          ("A2^1", 3, 10615), ("M(xy)", 5, 872)):
         rf = rel_free(catalog(name), k)
         assert rf.complete and rf.size == size
         assert _rel_free_fields(rf) == _rel_free_fields(oracle_rel_free(catalog(name), k))
+    # Where the zero cut keeps the fewest assignments, or none: in M(1) the
+    # only zero-free assignment is the identity, so the probes alone tell
+    # the 2^k states apart; in {1, g, 0} with g^2 = 1 they tell x1^2 from
+    # the empty word; Z1's zero is its identity, so nothing is dropped.
+    flip = FiniteMonoid("flip", ("1", "g", "0"), [[0, 1, 2], [1, 0, 2], [2, 2, 2]], 0)
+    for M in (catalog("M(1)"), flip, catalog("Z1")):
+        for k in range(6):
+            for cap in (default, 7):
+                rf = rel_free(M, k, max_states=cap)
+                assert _rel_free_fields(rf) == _rel_free_fields(
+                    oracle_rel_free(M, k, max_states=cap)), (M.name, k, cap)
+    assert rel_free(catalog("M(1)"), 5).size == 32
+    assert rel_free(flip, 1).size == 3
 
 
 def test_rel_free_takes_256_elements():
@@ -600,6 +623,12 @@ def test_rel_free_takes_256_elements():
 def test_rel_free_caps():
     with pytest.raises(RelFreeCapExceeded):
         rel_free(catalog("E^1"), 6, max_dim=1000)  # 6^6 = 46656 > 1000
+    # max_dim bounds n^k, not the 4^4 + 4 = 260 assignments the zero cut keeps
+    with pytest.raises(RelFreeCapExceeded, match=r"5\^4 = 625 > max_dim 600"):
+        rel_free(catalog("B0^1"), 4, max_dim=600)
+    v = isoterm(catalog("M(xyxy)"), wn_xyxy(3))
+    assert v.details["certifier"] == (
+        "skipped: evaluation tuples have dimension 9^6 = 531441 > max_dim 20000")
     rf = rel_free(catalog("B2^1"), 2, max_states=5)
     assert not rf.complete
     assert rf.size == 5
