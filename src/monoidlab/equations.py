@@ -36,13 +36,17 @@ lexicographically with the *first* variable most significant, and
    all assignments at once.  It is the general path and the oracle the
    other two are tested against.
 
-One private kernel, ``_AssignmentSpace``, holds an assignment space: it
-builds the assignment columns on first use, evaluates words by one table
-gather per letter (and value sets by one scatter per letter) and decodes a
-witness index.  ``satisfies``, the isoterm scans, the bounded identity
-search of ``member`` and ``rel_free`` all run on it; the isoterm falsifier
-phases over M(W) compare factor keys and never scan.  The kernel bounds
-nothing: each verdict checks its space's size n^k against its own budget.
+One private kernel, ``_AssignmentSpace``, holds an assignment space and
+the one layout every word product goes through: the Cayley table
+flattened column-major (uint8 up to 256 elements, uint16 above), and each
+letter's column of element indices scaled by n once, built on first use.
+Multiplying every value by a letter on the right is then one gather,
+``table[column + values]``, and a value set takes one scatter per letter;
+the kernel also decodes a witness index.  ``satisfies``, the isoterm
+scans, the bounded identity search of ``member`` and ``rel_free`` all run
+on it; the isoterm falsifier phases over M(W) compare factor keys and
+never scan.  The kernel bounds nothing: each verdict checks its space's
+size n^k against its own budget.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
@@ -144,8 +148,12 @@ class _AssignmentSpace:
     order: the first variable most significant, elements in table order.
 
     Words are evaluated with the letters of ``fixed`` (letter -> element
-    index) held constant.  No budget is checked here: callers compare
-    ``total`` (n^k, known before anything is allocated) with theirs.
+    index) held constant.  Every product gathers through ``by_column``, the
+    table flattened column-major (entry s·n + a is a·s), at the index
+    ``columns[c] + a``: a letter's column holds its element index times n,
+    so the values of u·c are one gather from those of u.  No budget is
+    checked here: callers compare ``total`` (n^k, known before anything is
+    allocated) with theirs.
     """
 
     def __init__(
@@ -160,19 +168,29 @@ class _AssignmentSpace:
         self.fixed = dict(fixed or {})
 
     @functools.cached_property
-    def digits(self) -> np.ndarray:
-        """Row j holds variable j's element index in every assignment.
+    def columns(self) -> dict[str, np.ndarray]:
+        """Each letter's element index times n, as int32: a variable's in
+        every assignment, a fixed letter's once.
 
         Built on first use, so a space that only checks the budget and
-        decides by factor keys never allocates the n^k columns.
+        decides by factor keys never allocates the n^k columns.  A fixed
+        letter's column is a one-element array, not a scalar: added to a
+        uint8 or uint16 accumulator, a Python int (or, under NumPy 1.x, any
+        scalar that fits) keeps the accumulator's dtype and wraps.
         """
+        n = self.M.order
         # reshape(k, -1) would fail for k = 0, where the space is the one
         # empty assignment.
-        return np.indices(self.shape, dtype=np.int32).reshape(len(self.shape), self.total)
+        rows = np.indices(self.shape, dtype=np.int32).reshape(len(self.shape), self.total) * n
+        fixed = {c: np.array([v * n], dtype=np.int32) for c, v in self.fixed.items()}
+        return {**dict(zip(self.variables, rows)), **fixed}
 
     @functools.cached_property
-    def columns(self) -> dict[str, np.ndarray | int]:
-        return {**dict(zip(self.variables, self.digits)), **self.fixed}
+    def by_column(self) -> np.ndarray:
+        """The table flattened column-major, in the least unsigned dtype that
+        holds an element index: entry s·n + a is a·s."""
+        dtype = np.min_scalar_type(self.M.order - 1)
+        return np.ascontiguousarray(self.M.table.T, dtype=dtype).reshape(-1)
 
     def same_as(self, w: Word) -> Callable[[Word], bool]:
         """A test of whether M satisfies w = cand, for words cand over the
@@ -187,16 +205,16 @@ class _AssignmentSpace:
 
     def values(self, word: Word) -> np.ndarray:
         """The value of ``word`` under every assignment, in order."""
-        flat, n = self.M.flat, self.M.order
-        acc = np.full(self.total, self.identity, dtype=np.int32)
+        by_column, columns = self.by_column, self.columns
+        acc = np.full(self.total, self.identity, dtype=by_column.dtype)
         for c in word.letters:
-            acc = flat[acc * n + self.columns[c]]
+            acc = by_column.take(columns[c] + acc)
         return acc
 
     def value_sets(self, word: Word, linear: frozenset[str]) -> np.ndarray:
         """Row r is the set of values ``word`` takes under assignment r and
         every choice in M of its ``linear`` letters, as an n-wide mask."""
-        n, table = self.M.order, self.M.table
+        n = self.M.order
         sets = np.zeros((self.total, n), dtype=bool)
         sets[:, self.identity] = True
         rows = np.arange(0, self.total * n, n)[:, None]
@@ -205,7 +223,7 @@ class _AssignmentSpace:
                 sets = sets @ self.right_ideals
             else:
                 hit = np.zeros(self.total * n, dtype=bool)
-                hit[(rows + table[:, self.columns[c]].T)[sets]] = True
+                hit[(rows + self.by_column[np.add.outer(self.columns[c], np.arange(n))])[sets]] = True
                 sets = hit.reshape(self.total, n)
         return sets
 
@@ -535,9 +553,10 @@ def rel_free(
     tuples iff they have equal values under all n^k assignments, and right
     multiplication acts on each assignment alone, so the BFS meets the same
     states in the same order.  Without a proper zero (the trivial monoid's
-    zero is its identity) every assignment is kept.  The table is kept
-    column-major, with each generator's column of elements scaled by n
-    once, so the tuple of u·x_j is one gather, ``flat[col_j + tuple(u)]``.
+    zero is its identity) every assignment is kept.  The columns and the
+    table are the kernel's (``_AssignmentSpace``): the kept part of each
+    generator's column, scaled by n, and the column-major table in uint8,
+    so the tuple of u·x_j is one gather, ``table[col_j + tuple(u)]``.
 
     Raises RelFreeCapExceeded if n^k exceeds ``max_dim`` (whatever the
     number of assignments kept).
@@ -559,19 +578,22 @@ def rel_free(
     if len(gen_names) != k:
         raise ValueError("generator name list must have length k")
 
-    # The zero-free assignments, then the k probes (see above).
-    digits = _AssignmentSpace(M, gen_names).digits
+    # The zero-free assignments, then the k probes (see above), as the
+    # kernel's columns: element indices times n.  The space is keyed by
+    # position, so a repeated generator name keeps a column of its own.
+    space = _AssignmentSpace(M, range(k))
+    cols = np.array(list(space.columns.values()), dtype=np.int32).reshape(k, dim)
     z = M.zero_index()
     if z is not None and z != e:
-        probes = np.full((k, k), e, dtype=digits.dtype)
-        np.fill_diagonal(probes, z)
-        digits = np.hstack([digits[:, (digits != z).all(axis=0)], probes])
+        probes = np.full((k, k), e * n, dtype=np.int32)
+        np.fill_diagonal(probes, z * n)
+        cols = np.hstack([cols[:, (cols != z * n).all(axis=0)], probes])
     # A list of rows, bound once: indexing the 2-D array on every step
     # of the search costs measurably more, and so does a gather through
-    # int32 rather than native indices.  The uint8 table, column-major,
-    # gathers straight into a tuple's bytes.
-    gen_cols = list(digits.astype(np.intp) * n)
-    flat = np.ascontiguousarray(M.table.T, dtype=np.uint8).reshape(-1)
+    # int32 rather than native indices.  The kernel's table is uint8 here
+    # (n <= 256), so a gather lands straight in a tuple's bytes.
+    gen_cols = list(cols.astype(np.intp))
+    flat = space.by_column
 
     tracked = None
     if track is not None:
@@ -582,7 +604,7 @@ def rel_free(
         track_table = track.table.tolist()
         tracked = [track.identity]
 
-    root = np.full(digits.shape[1], e, dtype=np.uint8).tobytes()
+    root = np.full(cols.shape[1], e, dtype=np.uint8).tobytes()
     keys = [root]  # the tuple of each state, shared with ``index``
     index: dict[bytes, int] = {root: 0}
     parent = [-1]

@@ -83,7 +83,7 @@ class FiniteMonoid:
     no part of equality or hashing, and derived monoids do not carry it.
     """
 
-    __slots__ = ("name", "elements", "table", "identity", "factor_words", "_index", "_flat")
+    __slots__ = ("name", "elements", "table", "identity", "factor_words", "_index")
 
     def __init__(self, name, elements, table, identity=None, *, factor_words=None):
         elements = tuple(str(e) for e in elements)
@@ -112,7 +112,6 @@ class FiniteMonoid:
         self.identity = identity
         self.factor_words = None if factor_words is None else tuple(factor_words)
         self._index = {label: i for i, label in enumerate(elements)}
-        self._flat = None
 
     # -- basics ------------------------------------------------------------
 
@@ -131,13 +130,6 @@ class FiniteMonoid:
                 "adjoin one first (adjoin_identity)"
             )
         return self.identity
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The table flattened row-major (used for vectorized evaluation)."""
-        if self._flat is None:
-            self._flat = np.ascontiguousarray(self.table.reshape(-1))
-        return self._flat
 
     def index(self, label: str) -> int:
         try:

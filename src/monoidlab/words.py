@@ -476,8 +476,6 @@ def extend_match(
     end: int | None,
     bindings: dict[str, tuple[str, ...]],
     emit,
-    *,
-    minlen: int = 0,
 ) -> None:
     """Backtracking core of the matchers, on letter tuples.
 
@@ -488,7 +486,7 @@ def extend_match(
     entry are fixed images: the caller seeds them to solve several patterns
     jointly.  ``bindings`` is restored before returning, so ``emit`` must
     copy what it keeps.  Unbound variables take every length in increasing
-    order (at least ``minlen``), so solutions come in a fixed order.
+    order, so solutions come in a fixed order.
     """
     if end is not None:
         txt = txt[:end]
@@ -509,12 +507,11 @@ def extend_match(
             return
         rest_after = 0
         for d in pat[pi + 1 :]:
-            b = bindings.get(d)
-            rest_after += len(b) if b is not None else minlen
+            rest_after += len(bindings.get(d, ()))
         max_len = limit - pos - rest_after
-        if max_len < minlen:
+        if max_len < 0:
             return
-        for length in range(minlen, max_len + 1):
+        for length in range(max_len + 1):
             bindings[c] = txt[pos : pos + length]
             rec(pi + 1, pos + length)
         del bindings[c]
@@ -532,21 +529,22 @@ def _match_engine(
 ) -> list[dict[str, Word]]:
     pat = pattern.letters
     txt = text.letters
-    minlen = 1 if nonempty else 0
     seen: set[tuple] = set()
     results: list[dict[str, Word]] = []
     bindings: dict[str, tuple[str, ...]] = {}
 
     def emit(_stop: int) -> None:
+        if nonempty and not all(bindings.values()):
+            return
         key = tuple(sorted(bindings.items()))
         if key not in seen:
             seen.add(key)
             results.append({v: Word(b) for v, b in bindings.items()})
 
     if full:
-        extend_match(pat, txt, (0,), len(txt), bindings, emit, minlen=minlen)
+        extend_match(pat, txt, (0,), len(txt), bindings, emit)
     else:
-        extend_match(pat, txt, range(len(txt) + 1), None, bindings, emit, minlen=minlen)
+        extend_match(pat, txt, range(len(txt) + 1), None, bindings, emit)
     results.sort(key=lambda th: tuple(sorted((v, th[v].letters) for v in th)))
     return results
 

@@ -167,6 +167,32 @@ def test_satisfies_matches_bruteforce():
             assert got.lhs_value == lv and got.rhs_value == rv
 
 
+def test_satisfies_matches_bruteforce_past_256_elements():
+    # 315 elements: the kernel's table is uint16 here, not uint8.  Every
+    # identity between powers of x, then seeded ones in x and y, half of
+    # them with v = u with one letter inserted, which sometimes hold.
+    M = direct_product(direct_product(catalog("M(xyxy)"), catalog("M(xyx)")), catalog("M(xy)"))
+    assert M.order == 315
+    powers = [Word(("x",) * i) for i in range(6)]
+    idents = [Identity(u, v) for u, v in itertools.combinations(powers, 2)]
+    rng = random.Random(20261019)
+    for i in range(24):
+        u = [rng.choice("xy") for _ in range(rng.randint(1, 5))]
+        v = [rng.choice("xy") for _ in range(rng.randint(0, 5))]
+        if i % 2:
+            v = list(u)
+            v.insert(rng.randrange(len(v)), rng.choice("xy"))
+        idents.append(Identity(Word(u), Word(v)))
+    verdicts = collections.Counter()
+    for ident in idents:
+        got = satisfies(M, ident)
+        want = _brute_satisfies(M, ident)
+        assert (got.holds, got.witness, got.lhs_value, got.rhs_value) == want, str(ident)
+        assert got.checked == M.order ** len(ident.variables())
+        verdicts[got.holds] += 1
+    assert verdicts[True] >= 3 and verdicts[False] >= 20, verdicts
+
+
 def test_satisfies_budget():
     E1 = catalog("E^1")
     with pytest.raises(BudgetExceededError):
@@ -324,18 +350,25 @@ def test_elimination_matches_exhaustive_scan():
     # Linear-letter elimination against the scan it replaces, called
     # directly whatever the number of linear letters, so sigma(1), sigma(2)
     # and sigma_infinity (one or two linear letters) are covered too.
-    cases = [(m, sigma(n)) for n in range(1, 7) for m in BASIS_MODELS]
-    cases += [(m, sigma_infinity()) for m in BASIS_MODELS]
+    # The 18-element product drawn last runs the witness loop at
+    # 17 <= n <= 256, where a fixed letter's index times n can pass 255,
+    # the most a uint8 holds: x y z = z x y fixes y to (1,e), index 15,
+    # before its last pass (15·18 = 270).
+    cases = [(catalog(m), sigma(n)) for n in range(1, 7) for m in BASIS_MODELS]
+    cases += [(catalog(m), sigma_infinity()) for m in BASIS_MODELS]
     rng = random.Random(20261020)
-    while len(cases) < 70 + 500:
+    product = direct_product(catalog("E^1"), catalog("Z3"))
+    while len(cases) < 70 + 500 + 60:
         draw = _shared_separator_pair if len(cases) % 5 < 3 else _shared_context_pair
-        ident, m = draw(rng), rng.choice(BASIS_MODELS)
-        if catalog(m).order ** len(ident.variables()) <= 300_000:
-            cases.append((m, ident))
+        ident = draw(rng)
+        M = catalog(rng.choice(BASIS_MODELS)) if len(cases) < 70 + 500 else product
+        if M.order ** len(ident.variables()) <= 300_000:
+            cases.append((M, ident))
+    cases.append((product, parse_identity("x y z = z x y")))
     verdicts = collections.Counter()
     linear_sizes = collections.Counter()
-    for m, ident in cases:
-        M = catalog(m)
+    for M, ident in cases:
+        m = M.name
         space = _AssignmentSpace(M, sorted(ident.variables()))
         split = _linear_split(ident)
         got, want = _by_elimination(space, ident, split), _by_scan(space, ident)
@@ -464,8 +497,10 @@ def oracle_rel_free(M, k, *, max_states=300_000, max_dim=20_000, track=None, tra
     if dim > max_dim:
         raise RelFreeCapExceeded(f"{dim} > max_dim {max_dim}")
     gen_names = tuple(f"x{i + 1}" for i in range(k))
-    gen_cols = list(_AssignmentSpace(M, gen_names).digits)
-    flat = M.flat
+    # Its own columns and row-major table, so it shares no layout with the
+    # kernel it checks.
+    gen_cols = list(np.indices((n,) * k, dtype=np.int32).reshape(k, dim))
+    flat = M.table.reshape(-1)
 
     tracked = None
     images = None

@@ -19,21 +19,25 @@ first run and after the last, and the value of ``PYTHONDONTWRITEBYTECODE``
 Four sources are recorded, with the checkout's git SHA (and a digest of
 its ``src/monoidlab`` files, which tells uncommitted changes apart):
 
-- ``perfbench``: the last line of ``perfbench/run.py --workload all``
-  (every workload, untraced and traced, each in a fresh process);
+- ``perfbench``: the last line of each of ``REPEAT`` runs of
+  ``perfbench/run.py --workload all`` (every workload, untraced and
+  traced, each in a fresh process), and per workload the median over
+  those runs of each end-to-end metric of BENCHMARK.json (untraced);
 - ``verify_paper_s``: wall time of ``monoidlab verify-paper``, one process;
 - ``tier1``: wall time and summary line of the Tier-1 test suite;
 - ``isoterm_wn_xyxy4``: wall time and verdict of ``isoterm`` on
   ``wn_xyxy(4)`` over ``M(xyxy)`` at the default budget, in a fresh process.
 
-``perfbench`` runs with seed ``SEED`` for ``SECONDS`` per workload; each
-other timed command runs ``REPEAT`` times, every time is kept, and the
-median is reported beside them.  Raw times drift with the host (1.8x
-between BENCH files on identical source), so each of those three also
-records ``gauge_s``: the fastest of ``GAUGE_RUNS`` runs of perfbench's
-speed gauge (``gauge`` in this repository's ``perfbench/run.py``), taken
-just before its command.  ``median_s * gauge_ref_s / gauge_s`` is the
-median at the gauge's reference speed, the scale of perfbench's own times.
+``perfbench`` runs with seed ``SEED`` for ``SECONDS`` per workload.  Every
+command runs ``REPEAT`` times, every result is kept, and the median is
+reported beside them, so one slow stretch of a shared host does not decide
+a comparison.  Raw times drift with the host (1.8x between BENCH files on
+identical source), so each command also records ``gauge_s``: the fastest
+of ``GAUGE_RUNS`` runs of perfbench's speed gauge (``gauge`` in this
+repository's ``perfbench/run.py``), taken just before it (before each
+perfbench run, and before the first of the other commands' runs).
+``median_s * gauge_ref_s / gauge_s`` is the median at the gauge's
+reference speed, the scale of perfbench's own times.
 The file written is ``BENCH_<pr>.json`` at the root of this repository.
 Nothing under ``perfbench/`` is changed.
 """
@@ -104,6 +108,21 @@ def timed(root: pathlib.Path, args: list[str], timeout: float, gauge) -> dict:
             "last_line": last.stdout.strip().splitlines()[-1] if last.stdout.strip() else ""}
 
 
+def perfbench(root: pathlib.Path, gauge, end_to_end: list[str]) -> dict:
+    runs = []
+    for _ in range(REPEAT):
+        gauge_s = gauge()
+        proc = run(root, [sys.executable, "perfbench/run.py", "--workload", "all",
+                          "--seed", str(SEED), "--seconds", str(SECONDS)], timeout=3600)[1]
+        runs.append({"gauge_s": gauge_s, "result": json.loads(proc.stdout.splitlines()[-1])})
+    median = {
+        w: {m: statistics.median(r["result"][w]["untraced"]["metrics"][m]["value"] for r in runs)
+            for m in end_to_end}
+        for w in runs[0]["result"]
+    }
+    return {"seed": SEED, "seconds": SECONDS, "runs": runs, "median": median}
+
+
 def git_state(root: pathlib.Path) -> dict:
     def git(*args: str) -> str:
         proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
@@ -128,8 +147,7 @@ def record(root: pathlib.Path) -> dict:
     def gauge() -> float:
         return min(perfbench_run.gauge() for _ in range(GAUGE_RUNS))
 
-    bench = run(root, [py, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-                       "--seconds", str(SECONDS)], timeout=3600)[1]
+    bench = perfbench(root, gauge, [m["name"] for m in perfbench_run.load_spec()["end_to_end"]])
     isoterm_gauge_s = gauge()
     isoterm_runs = [json.loads(run(root, [py, "-c", ISOTERM_RUN], 600)[1].stdout)
                     for _ in range(REPEAT)]
@@ -137,8 +155,7 @@ def record(root: pathlib.Path) -> dict:
         **git_state(root),
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
-        "perfbench": {"seed": SEED, "seconds": SECONDS,
-                      "result": json.loads(bench.stdout.splitlines()[-1])},
+        "perfbench": bench,
         "gauge_ref_s": perfbench_run.GAUGE_REF_S,
         "verify_paper_s": timed(root, [py, "-m", "monoidlab.cli", "verify-paper"], 600, gauge),
         "tier1": timed(root, [py, "-m", "pytest", "-q", "--continue-on-collection-errors",
