@@ -84,10 +84,6 @@ def _emit_monoid(M: FiniteMonoid, as_json: bool) -> None:
         click.echo(format_monoid_text(M), nl=False)
 
 
-def _usage(message: str) -> click.UsageError:
-    return click.UsageError(message)
-
-
 def _resolve_monoid(ref: str) -> FiniteMonoid:
     """A catalog name, or a path to a monoid file."""
     try:
@@ -95,7 +91,7 @@ def _resolve_monoid(ref: str) -> FiniteMonoid:
             return load_monoid_file(ref)
         return catalog(ref)
     except Exception as exc:
-        raise _usage(_error_text(exc)) from exc
+        raise click.UsageError(_error_text(exc)) from exc
 
 
 def _resolve_proper_monoid(ref: str) -> FiniteMonoid:
@@ -104,7 +100,7 @@ def _resolve_proper_monoid(ref: str) -> FiniteMonoid:
     try:
         M.require_identity()
     except NeedsIdentityError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
     return M
 
 
@@ -112,14 +108,14 @@ def _parse_identity_arg(text: str):
     try:
         return parse_identity(text)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
 
 
 def _parse_word_arg(text: str):
     try:
         return parse_word(text)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -313,7 +309,7 @@ def _load_rules_file(path: str):
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
     rules = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -322,9 +318,9 @@ def _load_rules_file(path: str):
         try:
             rules.append(parse_identity(line))
         except ValueError as exc:
-            raise _usage(f"{path}:{lineno}: {exc}") from exc
+            raise click.UsageError(f"{path}:{lineno}: {exc}") from exc
     if not rules:
-        raise _usage(f"{path}: no rules found")
+        raise click.UsageError(f"{path}: no rules found")
     return tuple(rules)
 
 
@@ -350,7 +346,7 @@ def deduce_cmd(rules_path: str, max_words: int, max_length: int | None,
         outcome = derive_bounded(ident.lhs, ident.rhs, rules,
                                  max_words=max_words, max_length=max_length)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
     if as_json:
         _emit_json({"identity": format_identity(ident), "status": outcome.status,
                     "explored": outcome.explored,
@@ -464,7 +460,7 @@ def _load_poset(ref: str, depth: int):
             f"unknown figure {ref!r} (bundled: {', '.join(figure_names())}) "
             "and no such file")
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
 
 
 @main.group()
@@ -504,7 +500,7 @@ def lattice_dot(figure: str, depth: int, as_json: bool) -> None:
     try:
         text = dot_export(P)
     except ValueError as exc:  # a cycle, or a cover naming an undeclared node
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
     if as_json:
         _emit_json({"name": P.name, "dot": text})
     else:
@@ -533,12 +529,12 @@ def verify_paper(manifest_path: str | None, as_json: bool) -> None:
             with open(manifest_path, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise _usage(str(exc)) from exc
+            raise click.UsageError(str(exc)) from exc
         shown = manifest_path
     try:
         entries = parse_manifest(text)
     except ManifestError as exc:
-        raise _usage(str(exc)) from exc
+        raise click.UsageError(str(exc)) from exc
     report = run_entries(entries, path=shown)
     if as_json:
         _emit_json(report.to_json_dict())

@@ -418,8 +418,7 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     """
     space = _AssignmentSpace(M, sorted(ident.variables()))
     _check_budget(space, budget)
-    texts = _factor_texts(M)
-    if texts is not None and _has_factor_key(texts, ident.rhs, _factor_key(texts, ident.lhs)):
+    if M.factor_words is not None and space.same_as(ident.lhs)(ident.rhs):
         return SatisfactionResult(holds=True, checked=space.total)
     split = _linear_split(ident)
     if len(split.linear) >= 3:
@@ -555,8 +554,9 @@ def rel_free(
     states in the same order.  Without a proper zero (the trivial monoid's
     zero is its identity) every assignment is kept.  The columns and the
     table are the kernel's (``_AssignmentSpace``): the kept part of each
-    generator's column, scaled by n, and the column-major table in uint8,
-    so the tuple of u·x_j is one gather, ``table[col_j + tuple(u)]``.
+    generator's column, scaled by n, and the column-major table (uint8 up
+    to 256 elements, uint16 above), so the tuple of u·x_j is one gather,
+    ``table[col_j + tuple(u)]``, in the table's dtype.
 
     Raises RelFreeCapExceeded if n^k exceeds ``max_dim`` (whatever the
     number of assignments kept).
@@ -565,8 +565,6 @@ def rel_free(
     """
     e = M.require_identity()
     n = M.order
-    if n > 256:
-        raise RelFreeCapExceeded("base monoid too large for uint8 tuples")
     dim = n ** k
     if dim > max_dim:
         raise RelFreeCapExceeded(
@@ -590,8 +588,8 @@ def rel_free(
         cols = np.hstack([cols[:, (cols != z * n).all(axis=0)], probes])
     # A list of rows, bound once: indexing the 2-D array on every step
     # of the search costs measurably more, and so does a gather through
-    # int32 rather than native indices.  The kernel's table is uint8 here
-    # (n <= 256), so a gather lands straight in a tuple's bytes.
+    # int32 rather than native indices.  A gather through the kernel's
+    # table lands straight in a tuple's bytes, in the table's dtype.
     gen_cols = list(cols.astype(np.intp))
     flat = space.by_column
 
@@ -604,7 +602,7 @@ def rel_free(
         track_table = track.table.tolist()
         tracked = [track.identity]
 
-    root = np.full(cols.shape[1], e, dtype=np.uint8).tobytes()
+    root = np.full(cols.shape[1], e, dtype=flat.dtype).tobytes()
     keys = [root]  # the tuple of each state, shared with ``index``
     index: dict[bytes, int] = {root: 0}
     parent = [-1]
@@ -645,7 +643,7 @@ def rel_free(
                     found = transitions[t][parent_letter[r]]
             if found < 0:
                 if cur is None:
-                    cur = np.frombuffer(keys[head], dtype=np.uint8)
+                    cur = np.frombuffer(keys[head], dtype=flat.dtype)
                 key = flat.take(gen_cols[j] + cur).tobytes()
                 found = index.get(key)
                 if found is None:
@@ -884,78 +882,43 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
 
     Class words correspond to root-to-target paths through the trimmed
     automaton (states that can still reach the target; every state is
-    reachable by construction).  If the trimmed part is acyclic the least
-    such path other than w is the answer.  A cycle in the trimmed part makes
-    the class infinite; a bounded per-length count then picks a length, and
+    reachable by construction).  Every step reads one edge array, the
+    (src, dst) pair of each transition of rf, and the two searches on it
+    are fixed points.  Co-reachability grows backward: start from the
+    target and add the source of every edge into a state already in, until
+    no edge adds one.  The edges kept are those into trimmed states, whose
+    sources are trimmed too.  Acyclicity is a peel: from the trimmed
+    states, keep only those that a kept edge enters from a state still
+    kept, until none goes.  A state on a cycle always stays, and without a
+    cycle a state whose longest path in has r edges goes in round r + 1,
+    so nothing stays iff the trimmed part is acyclic; then the least path
+    other than w is the answer.  A cycle makes the class infinite; a
+    bounded per-length count over the kept edges then picks a length, and
     the answer is the least path of that length other than w.
 
     Raises RelFreeCapExceeded if the cyclic-case scan exceeds its step cap.
     """
-    k = len(rf.generators)
     size = rf.size
-    trans = rf.transitions
+    present = rf.transitions >= 0
+    src, _ = np.nonzero(present)
+    dst = rf.transitions[present]
 
-    rev: list[list[int]] = [[] for _ in range(size)]
-    for s in range(size):
-        for j in range(k):
-            t = int(trans[s, j])
-            if t >= 0:
-                rev[t].append(s)
-    co = np.zeros(size, dtype=bool)
-    stack = [target]
-    co[target] = True
-    while stack:
-        s = stack.pop()
-        for p in rev[s]:
-            if not co[p]:
-                co[p] = True
-                stack.append(p)
+    co = np.arange(size) == target
+    while not co[into := src[co[dst]]].all():
+        co[into] = True
+    keep = co[dst]
+    src, dst = src[keep], dst[keep]
+    alive = co
+    while not np.array_equal(alive, fed := np.bincount(dst[alive[src]], minlength=size) > 0):
+        alive = fed
 
-    # cycle detection restricted to trimmed states (iterative DFS colors)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = np.zeros(size, dtype=np.int8)
-    cyclic = False
-    for start in range(size):
-        if not co[start] or color[start] != WHITE:
-            continue
-        stack2: list[tuple[int, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack2 and not cyclic:
-            s, j = stack2[-1]
-            if j == k:
-                color[s] = BLACK
-                stack2.pop()
-                continue
-            stack2[-1] = (s, j + 1)
-            t = int(trans[s, j])
-            if t < 0 or not co[t]:
-                continue
-            if color[t] == GRAY:
-                cyclic = True
-            elif color[t] == WHITE:
-                color[t] = GRAY
-                stack2.append((t, 0))
-        if cyclic:
-            break
-
-    if not cyclic:
+    if not alive.any():
         return _least_other_path(
             rf, w, lambda depth, t: co[t], lambda depth, t: t == target
         )
 
     # cyclic: the class is infinite; find the least length != |w| (or = |w|
     # with a second word) carrying a class word, by saturated counting
-    src_l, dst_l = [], []
-    for s in range(size):
-        if not co[s]:
-            continue
-        for j in range(k):
-            t = int(trans[s, j])
-            if t >= 0 and co[t]:
-                src_l.append(s)
-                dst_l.append(t)
-    src = np.array(src_l, dtype=np.int64)
-    dst = np.array(dst_l, dtype=np.int64)
     max_steps = min(len(w) + 3 * size + 2, 200_000)
     cnt = np.zeros(size, dtype=np.int64)
     cnt[0] = 1

@@ -87,8 +87,8 @@ class Poset:
         Raises ValueError on a cycle (closure would not be a partial
         order); use validate_lattice for a non-raising report.
         """
-        order, cyclic = _closure(self)
-        if cyclic:
+        order, cycle = _closure(self)
+        if cycle is not None:
             raise ValueError(f"cover relation of {self.name!r} has a cycle")
         return order
 
@@ -96,26 +96,27 @@ class Poset:
         return self.leq_table()[(a, b)]
 
 
-def _closure(P: Poset) -> tuple[dict[tuple[str, str], bool], bool]:
+def _closure(P: Poset) -> tuple[dict[tuple[str, str], bool], tuple[str, str] | None]:
+    """The reflexive-transitive closure of P's covers, by one Warshall pass
+    (the intermediate node outermost), and the first pair (a, b) of
+    distinct nodes in node order with a <= b <= a, or None if the covers
+    have no cycle."""
     names = P.node_names()
     leq = {(a, b): a == b for a in names for b in names}
     for lo, hi in P.covers:
         if (lo, hi) in leq:
             leq[(lo, hi)] = True
-    changed = True
-    while changed:  # Floyd-Warshall-style saturation; diagrams are tiny
-        changed = False
+    for c in names:
         for a in names:
-            for b in names:
-                if a != b and leq[(a, b)]:
-                    for c in names:
-                        if leq[(b, c)] and not leq[(a, c)]:
-                            leq[(a, c)] = True
-                            changed = True
-    cyclic = any(
-        leq[(a, b)] and leq[(b, a)] for a in names for b in names if a != b
+            if leq[(a, c)]:
+                for b in names:
+                    if leq[(c, b)]:
+                        leq[(a, b)] = True
+    cycle = next(
+        ((a, b) for a in names for b in names if a != b and leq[(a, b)] and leq[(b, a)]),
+        None,
     )
-    return leq, cyclic
+    return leq, cycle
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +341,9 @@ def validate_lattice(P: Poset) -> LatticeReport:
     if problems:
         return LatticeReport(P.name, len(P.nodes), len(P.covers), tuple(problems))
 
-    order, cyclic = _closure(P)
-    if cyclic:
-        pair = next(
-            (a, b)
-            for a in names
-            for b in names
-            if a != b and order[(a, b)] and order[(b, a)]
-        )
-        problems.append(f"cycle through nodes {pair[0]!r} and {pair[1]!r}")
+    order, cycle = _closure(P)
+    if cycle is not None:
+        problems.append(f"cycle through nodes {cycle[0]!r} and {cycle[1]!r}")
         return LatticeReport(P.name, len(P.nodes), len(P.covers), tuple(problems))
 
     for lo, hi in P.covers:
