@@ -14,7 +14,10 @@ of u and v and keeps the stops within their common suffix; ``successors``
 starts it everywhere, grown over the context up to the nearest filler on
 each side (a letter of p outside P and Q, which only places the rewrite).
 Both extend a solution into the rest of the context with
-``_extend_into_context``.
+``_extend_into_context``.  Every match runs on the generator
+``words.extend_match``, so each engine is nested ``for`` loops over the
+stops of P, of Q and of the context; ``successors`` admits a rewrite at
+the first extension into the context, by ``next``.
 
 The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .words import (
     EMPTY,
@@ -113,27 +116,19 @@ def _extend_into_context(
     head: tuple[str, ...],
     tail: tuple[str, ...],
     bindings: Mapping[str, tuple[str, ...]],
-    emit,
-) -> None:
+) -> Iterator[tuple[dict[str, tuple[str, ...]], int]]:
     """Extend a solution on the window ut[s:e] into its context on ut:
     ``tail`` is matched forward from e, then ``head`` backward from s
     (reversed, on the reversed prefix), with the images in ``bindings``
-    fixed.  Calls ``emit(images, head_length)`` once per solution, with
-    every variable's image read forward and head's image starting at
-    s - head_length.  ``bindings`` is left as it was, even when ``emit``
-    raises to end the search at its first solution."""
+    fixed.  Yields ``(images, head_length)`` once per solution, with every
+    variable's image read forward and head's image starting at
+    s - head_length.  It matches on copies, so ``bindings`` is never
+    touched and a consumer may stop at the first solution."""
     forward = dict(bindings)
-    reversed_bindings: dict[str, tuple[str, ...]] = {}
-
-    def on_head(stop: int) -> None:
-        emit({c: t[::-1] for c, t in reversed_bindings.items()}, stop)
-
-    def on_tail(_stop: int) -> None:
-        nonlocal reversed_bindings
+    for _ in extend_match(tail, ut, e, None, forward):
         reversed_bindings = {c: t[::-1] for c, t in forward.items()}
-        extend_match(head[::-1], ut[:s][::-1], (0,), None, reversed_bindings, on_head)
-
-    extend_match(tail, ut, (e,), None, forward, on_tail)
+        for stop in extend_match(head[::-1], ut[:s][::-1], 0, None, reversed_bindings):
+            yield {c: t[::-1] for c, t in reversed_bindings.items()}, stop
 
 
 def _least_step(
@@ -159,25 +154,20 @@ def _least_step(
 
     best: tuple | None = None
     bindings: dict[str, tuple[str, ...]] = {}
-    s = 0
-
-    def on_context(images: dict[str, tuple[str, ...]], head_length: int) -> None:
-        nonlocal best
-        key = (
-            tuple(images[c] for c in p_vars),
-            s - head_length,
-            tuple(images[c] for c in one_sided),
-        )
-        if best is None or key < best[0]:
-            best = (key, images)
-
-    def on_p(e: int) -> None:
-        if e >= nu - lcs:
-            extend_match(q_mid, vt, (s,), e + delta, bindings, lambda _stop:
-                         _extend_into_context(ut, s, e, a_side, b_side, bindings, on_context))
-
     for s in range(lcp + 1):
-        extend_match(p_mid, ut, (s,), None, bindings, on_p)
+        for e in extend_match(p_mid, ut, s, None, bindings):
+            if e < nu - lcs:
+                continue
+            for _ in extend_match(q_mid, vt, s, e + delta, bindings):
+                context = _extend_into_context(ut, s, e, a_side, b_side, bindings)
+                for images, head_length in context:
+                    key = (
+                        tuple(images[c] for c in p_vars),
+                        s - head_length,
+                        tuple(images[c] for c in one_sided),
+                    )
+                    if best is None or key < best[0]:
+                        best = (key, images)
 
     if best is None:
         return None
@@ -255,14 +245,6 @@ def check_derivation(
     return steps
 
 
-class _Extends(Exception):
-    """Ends an extension search at its first solution."""
-
-
-def _stop_at_first(_images: Mapping[str, tuple[str, ...]], _head_length: int) -> None:
-    raise _Extends
-
-
 def successors(
     u: Word, rules: Sequence[Identity], *, max_length: int | None = None
 ) -> list[Word]:
@@ -312,7 +294,7 @@ def _anchored_rewrites(
     A candidate that is a no-op, longer than ``max_length`` or already in
     ``out`` is dropped before the context is matched; B2 is then matched
     forward from stop and A1 backward from t (``_extend_into_context``),
-    and the first solution admits the word.  When a variable of Q outside
+    and the first solution, taken with ``next``, admits the word.  When a variable of Q outside
     the anchor is bound only by A1 or B2, its image comes from the context,
     so every extension is enumerated and each distinct image is a rewrite.
 
@@ -332,39 +314,32 @@ def _anchored_rewrites(
     b_near, tail = b_side[:cut_b], b_side[cut_b:]
     anchor = a_near + p_mid + b_near
     deferred = bool((set(q_mid) - set(anchor)) & set(head + tail))
-    bindings: dict[str, tuple[str, ...]] = {}
-    t = s = e = 0
 
-    def rewrite(images: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+    def rewrite(images: Mapping[str, tuple[str, ...]], s: int, e: int) -> tuple[str, ...] | None:
         image = tuple(x for c in q_mid for x in images.get(c, ()))
         if max_length is not None and len(ut) - (e - s) + len(image) > max_length:
             return None
         return ut[:s] + image + ut[e:]
 
-    def on_context(images: Mapping[str, tuple[str, ...]], _head_length: int) -> None:
-        word = rewrite(images)
-        if word is not None:
-            out.add(word)
-
-    def on_anchor(stop: int) -> None:
-        nonlocal s, e
-        s, e = t, stop
-        for c in a_near:
-            s += len(bindings[c])
-        for c in b_near:
-            e -= len(bindings[c])
-        if deferred:
-            _extend_into_context(ut, t, stop, head, tail, bindings, on_context)
-            return
-        word = rewrite(bindings)
-        if word is not None and word != ut and word not in out:
-            try:
-                _extend_into_context(ut, t, stop, head, tail, bindings, _stop_at_first)
-            except _Extends:
-                out.add(word)
-
+    bindings: dict[str, tuple[str, ...]] = {}
     for t in range(len(ut) + 1):
-        extend_match(anchor, ut, (t,), None, bindings, on_anchor)
+        for stop in extend_match(anchor, ut, t, None, bindings):
+            s, e = t, stop
+            for c in a_near:
+                s += len(bindings[c])
+            for c in b_near:
+                e -= len(bindings[c])
+            if deferred:
+                for images, _ in _extend_into_context(ut, t, stop, head, tail, bindings):
+                    word = rewrite(images, s, e)
+                    if word is not None:
+                        out.add(word)
+                continue
+            word = rewrite(bindings, s, e)
+            if word is None or word == ut or word in out:
+                continue
+            if next(_extend_into_context(ut, t, stop, head, tail, bindings), None) is not None:
+                out.add(word)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +559,10 @@ def to_canonical(
     derivation chain leading to it.
 
     The search visits at most 50,000 words, none longer than len(w) + 4.
-    The result is checked to be equivalent to w in the catalog monoid E^1
-    (a sound consequence of the default rule set); oversized substitution
-    spaces skip this check silently.
+    When every rule holds in the catalog monoid E^1, as the default rule
+    set does, the result is checked to be equivalent to w in E^1; for any
+    other rule set, and when a substitution space is over budget, the
+    check is skipped.
     """
     max_words = 50_000
     max_length = len(w) + 4
@@ -624,12 +600,13 @@ def to_canonical(
     from .equations import BudgetExceededError, satisfies
     from .monoids import catalog
 
+    e1 = catalog("E^1")
     try:
-        result = satisfies(catalog("E^1"), Identity(w, found))
+        sound = all(satisfies(e1, rule).holds for rule in rules)
+        if sound and not satisfies(e1, Identity(w, found)).holds:
+            raise AssertionError("canonicalization produced a non-equivalent word")
     except BudgetExceededError:
-        result = None
-    if result is not None and not result.holds:
-        raise AssertionError("canonicalization produced a non-equivalent word")
+        pass
     return found, script
 
 

@@ -14,10 +14,11 @@ lexicographically with the *first* variable most significant, and
    that is a factor of a word of W (the empty word counts) and 0
    otherwise.  So M(W) |= u = v iff u and v have the same *factor key*:
    content(u) with the pairs (θ, θ(u)) over every θ with θ(u) a factor,
-   found by the pattern matcher ``words.extend_match`` (Jackson,
+   yielded by the pattern matcher ``words.extend_match`` (Jackson,
    J. Algebra 2000; Jackson & Sapir, IJAC 2000).  The second key is
-   compared as it is built and abandoned at its first pair the first key
-   lacks.  A failure in M(W) goes on to path 2 or 3 for its witness.
+   compared as its pairs are yielded, and the loop returns at the first
+   pair the first key lacks.  A failure in M(W) goes on to path 2 or 3
+   for its witness.
 2. *Linear-letter elimination.*  Write u = A·u'·B and v = A·v'·B with A
    and B the longest common prefix and suffix.  A letter that occurs once
    in u and once in v, inside A or B, is *linear*: it ranges over all of M
@@ -263,18 +264,15 @@ def _factor_texts(M: FiniteMonoid) -> list[tuple[str, ...]] | None:
 
 
 def _factor_pairs(
-    texts: Sequence[tuple[str, ...]], word: Word, variables: Sequence[str],
-    visit: Callable[[tuple], None],
-) -> None:
-    """Call ``visit`` on each pair (θ on ``variables``, θ(word)) with
-    θ(word) a factor of a word of W, W's texts per ``_factor_texts``."""
+    texts: Sequence[tuple[str, ...]], word: Word, variables: Sequence[str]
+) -> Iterator[tuple]:
+    """Yield each pair (θ on ``variables``, θ(word)) with θ(word) a factor
+    of a word of W, W's texts per ``_factor_texts``."""
     bindings: dict[str, tuple[str, ...]] = {}
     image = bindings.__getitem__
     for txt in texts:
-        extend_match(
-            word.letters, txt, (0,), None, bindings,
-            lambda stop: visit((tuple(map(image, variables)), txt[:stop])),
-        )
+        for stop in extend_match(word.letters, txt, 0, None, bindings):
+            yield tuple(map(image, variables)), txt[:stop]
 
 
 def _factor_key(texts: Sequence[tuple[str, ...]], word: Word) -> tuple:
@@ -286,40 +284,28 @@ def _factor_key(texts: Sequence[tuple[str, ...]], word: Word) -> tuple:
     0 sends both sides of an identity to 0; any other one is such a θ for a
     side exactly when that side's value is not 0, and then the value is
     θ(side).  So M(W) |= u = v iff u and v have equal keys.  The θ are the
-    factor embeddings that ``words.extend_match`` enumerates.  The content
+    factor embeddings that ``words.extend_match`` yields.  The content
     stands for the all-empty θ, which no text finds when W has no nonempty
     word: substituting 0 for a variable in one side only separates sides
     with different contents even in M(W) = {1, 0}.
     """
     variables = tuple(sorted(word.content()))
-    pairs: set[tuple] = set()
-    _factor_pairs(texts, word, variables, pairs.add)
-    return variables, pairs
-
-
-class _KeyMismatch(Exception):
-    """Raised out of the matcher at the first pair a key lacks."""
+    return variables, set(_factor_pairs(texts, word, variables))
 
 
 def _has_factor_key(texts: Sequence[tuple[str, ...]], word: Word, key: tuple) -> bool:
     """Whether ``word``'s factor key is ``key``.  A content mismatch
-    rejects before any match, and the first pair that ``key`` lacks stops
-    the matcher; only a word whose pairs all lie in ``key`` is counted in
+    rejects before any match, and the search ends at the first pair that
+    ``key`` lacks; only a word whose pairs all lie in ``key`` is counted in
     full."""
     variables, pairs = key
     if tuple(sorted(word.content())) != variables:
         return False
     seen: set[tuple] = set()
-
-    def visit(pair: tuple) -> None:
+    for pair in _factor_pairs(texts, word, variables):
         if pair not in pairs:
-            raise _KeyMismatch
+            return False
         seen.add(pair)
-
-    try:
-        _factor_pairs(texts, word, variables, visit)
-    except _KeyMismatch:
-        return False
     return len(seen) == len(pairs)
 
 

@@ -20,6 +20,11 @@ This module also builds the structured word families used elsewhere
 (Zimin words and their aligned decompositions, the ``wn_*`` families, and
 the ``sigma`` identity family) and enumerates pattern substitutions
 (`match_pattern`, `match_exact`, and the seedable core `extend_match`).
+``extend_match`` is the one matcher protocol of the package: a generator
+that yields the stop of each solution while the bindings dict it was
+given holds that solution, and restores the dict when it is exhausted or
+closed.  Its clients are plain loops, and one that needs only the first
+solution takes it with ``next`` and drops the generator.
 """
 
 from __future__ import annotations
@@ -341,11 +346,13 @@ class Identity:
 
 
 def parse_identity(text: str) -> Identity:
-    """Parse ``u = v`` (also accepts ``==``) into an Identity."""
-    sides = [part for part in text.split("=") if part.strip()]
-    if len(sides) != 2:
+    """Parse ``u = v`` (also accepts ``==``) into an Identity: exactly one
+    separator, with a non-blank side on each side of it."""
+    lhs, _, rhs = text.partition("=")
+    rhs = rhs.removeprefix("=")
+    if "=" in rhs or not lhs.strip() or not rhs.strip():
         raise WordSyntaxError(f"identity text must have exactly one '=': {text!r}")
-    return Identity(parse_word(sides[0]), parse_word(sides[1]))
+    return Identity(parse_word(lhs), parse_word(rhs))
 
 
 def format_identity(ident: Identity) -> str:
@@ -472,52 +479,66 @@ def sigma_infinity() -> Identity:
 def extend_match(
     pat: tuple[str, ...],
     txt: tuple[str, ...],
-    starts: Iterable[int],
+    start: int,
     end: int | None,
     bindings: dict[str, tuple[str, ...]],
-    emit,
-) -> None:
+) -> Iterator[int]:
     """Backtracking core of the matchers, on letter tuples.
 
-    Matches ``pat`` against ``txt`` from each of ``starts``, extending ``bindings``
-    (variable -> tuple of letters) in place, and calls ``emit(stop)`` once
-    per solution, ``stop`` being where the match ends; when ``end`` is
-    given, only matches ending exactly there count.  Variables bound on
-    entry are fixed images: the caller seeds them to solve several patterns
-    jointly.  ``bindings`` is restored before returning, so ``emit`` must
-    copy what it keeps.  Unbound variables take every length in increasing
-    order, so solutions come in a fixed order.
+    Matches ``pat`` against ``txt`` from ``start``, extending ``bindings``
+    (variable -> tuple of letters) in place, and yields the stop where each
+    solution ends; when ``end`` is given, only matches ending exactly there
+    count.  At each yield ``bindings`` holds the solution, so the consumer
+    copies what it keeps; it may bind more variables meanwhile (a nested
+    match on the same dict) if they are gone again when it resumes.
+    Variables bound on entry are fixed images: the caller seeds them to
+    solve several patterns jointly.  Unbound variables take every length in
+    increasing order, so solutions come in a fixed order.  ``bindings`` is
+    restored when the generator is exhausted or closed, so a consumer may
+    stop at any solution.  Backtracking runs on an explicit stack of choice
+    points, one per variable bound here (its index in ``pat``, where its
+    image starts in ``txt`` and its longest image), not on recursion.
     """
     if end is not None:
         txt = txt[:end]
     limit = len(txt)
     npat = len(pat)
-
-    def rec(pi: int, pos: int) -> None:
-        if pi == npat:
-            if end is None or pos == limit:
-                emit(pos)
-            return
-        c = pat[pi]
-        bound = bindings.get(c)
-        if bound is not None:
-            length = len(bound)
-            if txt[pos : pos + length] == bound:
-                rec(pi + 1, pos + length)
-            return
-        rest_after = 0
-        for d in pat[pi + 1 :]:
-            rest_after += len(bindings.get(d, ()))
-        max_len = limit - pos - rest_after
-        if max_len < 0:
-            return
-        for length in range(max_len + 1):
-            bindings[c] = txt[pos : pos + length]
-            rec(pi + 1, pos + length)
-        del bindings[c]
-
-    for pos in starts:
-        rec(0, pos)
+    stack: list[tuple[int, int, int]] = []
+    pi, pos = 0, start
+    try:
+        while True:
+            while pi < npat:
+                c = pat[pi]
+                bound = bindings.get(c)
+                if bound is None:
+                    longest = limit - pos
+                    for d in pat[pi + 1 :]:
+                        longest -= len(bindings.get(d, ()))
+                    if longest < 0:
+                        break
+                    bound = bindings[c] = ()
+                    stack.append((pi, pos, longest))
+                elif txt[pos : pos + len(bound)] != bound:
+                    break
+                pi, pos = pi + 1, pos + len(bound)
+            else:
+                if end is None or pos == limit:
+                    yield pos
+            while stack:
+                pi, pos, longest = stack[-1]
+                c = pat[pi]
+                length = len(bindings[c]) + 1
+                if length <= longest:
+                    bindings[c] = txt[pos : pos + length]
+                    pi, pos = pi + 1, pos + length
+                    break
+                del bindings[c]
+                stack.pop()
+            else:
+                return
+    finally:
+        for pi, _, _ in stack:
+            del bindings[pat[pi]]
 
 
 def _match_engine(
@@ -532,19 +553,14 @@ def _match_engine(
     seen: set[tuple] = set()
     results: list[dict[str, Word]] = []
     bindings: dict[str, tuple[str, ...]] = {}
-
-    def emit(_stop: int) -> None:
-        if nonempty and not all(bindings.values()):
-            return
-        key = tuple(sorted(bindings.items()))
-        if key not in seen:
-            seen.add(key)
-            results.append({v: Word(b) for v, b in bindings.items()})
-
-    if full:
-        extend_match(pat, txt, (0,), len(txt), bindings, emit)
-    else:
-        extend_match(pat, txt, range(len(txt) + 1), None, bindings, emit)
+    for start in (0,) if full else range(len(txt) + 1):
+        for _stop in extend_match(pat, txt, start, len(txt) if full else None, bindings):
+            if nonempty and not all(bindings.values()):
+                continue
+            key = tuple(sorted(bindings.items()))
+            if key not in seen:
+                seen.add(key)
+                results.append({v: Word(b) for v, b in bindings.items()})
     results.sort(key=lambda th: tuple(sorted((v, th[v].letters) for v in th)))
     return results
 

@@ -363,6 +363,17 @@ def test_to_canonical_frozen():
     assert script.words == (parse_word("x^2 y^2"),)
 
 
+def test_to_canonical_checks_in_e1_only_for_rules_that_hold_there():
+    # x y x = y fails in E^1, so E^1 says nothing about its results: the
+    # chain is re-checked against the rule, and the E^1 check is skipped.
+    rules = [parse_identity("x y x = y")]
+    found, script = to_canonical(parse_word("x y x"), rules=rules)
+    assert found == parse_word("y")
+    assert script.words == (parse_word("x y x"), parse_word("y"))
+    assert script.rules == tuple(rules)
+    assert len(script.check()) == 1
+
+
 def test_to_canonical_unreachable():
     with pytest.raises(DerivationError, match="within bounds"):
         to_canonical(parse_word("x y x"), rules=[])

@@ -89,19 +89,13 @@ def enumerating_successors(
     ut = u.letters
     out: set[tuple[str, ...]] = set()
     bindings: dict[str, tuple[str, ...]] = {}
-    replacement: tuple[str, ...] = ()
-    start = 0
-
-    def emit(stop: int) -> None:
-        image = tuple(x for c in replacement for x in bindings.get(c, ()))
-        if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
-            out.add(ut[:start] + image + ut[stop:])
-
     for rule in rules:
         for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            replacement = q.letters
             for start in range(len(ut) + 1):
-                extend_match(p.letters, ut, (start,), None, bindings, emit)
+                for stop in extend_match(p.letters, ut, start, None, bindings):
+                    image = tuple(x for c in q.letters for x in bindings.get(c, ()))
+                    if max_length is None or len(ut) - (stop - start) + len(image) <= max_length:
+                        out.add(ut[:start] + image + ut[stop:])
     out.discard(ut)
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 

@@ -1,5 +1,5 @@
-"""Checks on the package source: no assert statements, and the acceptance
-criteria met under ``python -O``."""
+"""Checks on the package source: no assert statements, Python 3.10 grammar,
+and the acceptance criteria met under ``python -O``."""
 
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # grammar added later (``except*``, PEP 695 type parameters, ...) even
+    # when a newer interpreter runs the tests.
+    rejected = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            rejected.append(f"{path.relative_to(PACKAGE)}:{exc.lineno}: {exc.msg}")
+    assert rejected == []
 
 
 def test_acceptance_criteria_pass_under_optimized_interpreter():

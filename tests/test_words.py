@@ -71,6 +71,11 @@ def test_parse_errors():
         parse_identity("x = y = z")
     with pytest.raises(WordSyntaxError):
         parse_identity("x y")
+    # Exactly one '=' (or one '=='), with a non-blank side on each side.
+    for text in ["x = y =", "= x = y", "x = = y", "x === y"]:
+        with pytest.raises(WordSyntaxError, match="exactly one '='"):
+            parse_identity(text)
+    assert parse_identity("x == y") == parse_identity("x = y")
 
 
 def test_format_roundtrip():
@@ -262,26 +267,46 @@ def test_match_exact():
 
 def test_extend_match_seeded_and_bounded():
     text = W("a b a b a").letters
-    solutions = []
 
-    def emit(stop):
-        solutions.append((dict(bindings), stop))
+    def solutions(pat, start, end, bindings):
+        return [(dict(bindings), stop) for stop in extend_match(pat, text, start, end, bindings)]
 
     # A seeded variable is a fixed image; y is solved around it.
     bindings = {"x": ("a",)}
-    extend_match(W("x y x").letters, text, (0,), 5, bindings, emit)
-    assert solutions == [({"x": ("a",), "y": ("b", "a", "b")}, 5)]
+    assert solutions(W("x y x").letters, 0, 5, bindings) == [
+        ({"x": ("a",), "y": ("b", "a", "b")}, 5)
+    ]
     assert bindings == {"x": ("a",)}  # restored
     # Without an end bound every stop counts, shortest images first, and
-    # only the given start positions are tried.
-    solutions.clear()
+    # only the given start position is tried.
     bindings = {"x": ("b",)}
-    extend_match(W("y x").letters, text, (2,), None, bindings, emit)
-    assert solutions == [({"x": ("b",), "y": ("a",)}, 4)]
-    solutions.clear()
+    assert solutions(W("y x").letters, 2, None, bindings) == [({"x": ("b",), "y": ("a",)}, 4)]
     bindings = {}
-    extend_match(W("y").letters, text, (3,), None, bindings, emit)
-    assert solutions == [({"y": ()}, 3), ({"y": ("b",)}, 4), ({"y": ("b", "a")}, 5)]
+    assert solutions(W("y").letters, 3, None, bindings) == [
+        ({"y": ()}, 3), ({"y": ("b",)}, 4), ({"y": ("b", "a")}, 5)
+    ]
+
+
+def test_extend_match_restores_bindings_when_abandoned():
+    text = W("a b a b a").letters
+    pat = W("x y z x").letters
+    seed = {"z": ("b",)}
+    # Taken to its first solution and closed: the images bound on the way
+    # are removed, and the seeded image stays.
+    bindings = dict(seed)
+    matches = extend_match(pat, text, 0, None, bindings)
+    assert next(matches) == 2
+    assert bindings == {"x": (), "y": ("a",), "z": ("b",)}
+    matches.close()
+    assert bindings == seed
+    # Left by break out of a loop, deep in the search: the same.
+    bindings = dict(seed)
+    stops = []
+    for stop in extend_match(pat, text, 0, None, bindings):
+        stops.append(stop)
+        if bindings["x"]:
+            break
+    assert stops == [2, 4, 3] and bindings == seed
 
 
 def test_match_pattern_against_brute_force():
