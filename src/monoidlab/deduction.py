@@ -12,8 +12,9 @@ Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
 with an open end.  ``directly_deducible`` starts P within the common prefix
 of u and v and keeps the stops within their common suffix; ``successors``
 starts it everywhere, grown over the context up to the nearest filler on
-each side (a letter of p outside P and Q, which only places the rewrite).
-Both extend a solution into the rest of the context with
+each side (a letter of p outside P and Q, which only places the rewrite),
+or over all of p when Q needs a variable that only the context beyond a
+filler binds.  Both extend a solution into the rest of the context with
 ``_extend_into_context``.  Every match runs on the generator
 ``words.extend_match``, so each engine is nested ``for`` loops over the
 stops of P, of Q and of the context; ``successors`` admits a rewrite at
@@ -23,7 +24,8 @@ The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
 lambda identities are the two-square-tail identities over such prefixes,
 ``lambda_reduce`` rewrites a canonical pair into the lambda identities it
-generates, and ``sigma_classify`` places a lambda identity in the
+generates, ``lq_equiv_syntactic`` runs the two syntactic equivalence tests
+on canonical words, and ``sigma_classify`` places a lambda identity in the
 alternating-squares chain (some finite stage, or its limit).
 """
 
@@ -33,6 +35,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .equations import BudgetExceededError, satisfies
+from .monoids import catalog
 from .words import (
     EMPTY,
     Identity,
@@ -61,6 +65,8 @@ __all__ = [
     "CanonicalDecomposition",
     "canonical_decomposition",
     "is_canonical",
+    "LQEquivalence",
+    "lq_equiv_syntactic",
     "to_canonical",
     "PREFIX_CHOICES",
     "LambdaIdentity",
@@ -264,7 +270,6 @@ def successors(
     for rule in rules:
         for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
             _anchored_rewrites(ut, p.letters, q.letters, max_length, out)
-    out.discard(ut)
     # shortlex on the letter tuples: the order of the Words built from them
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 
@@ -276,8 +281,7 @@ def _anchored_rewrites(
     max_length: int | None,
     out: set[tuple[str, ...]],
 ) -> None:
-    """Add to ``out`` every rewrite of ut by p -> q, u itself possibly
-    among them.
+    """Add to ``out`` every rewrite of ut by p -> q other than u itself.
 
     With p = A·P·B and q = A·Q·B (``_split_rule``), only the part matched
     by P changes.  A filler -- a letter of A·B in neither P nor Q, like
@@ -291,17 +295,21 @@ def _anchored_rewrites(
     repeat variables of P or Q, and matching them with P pins those
     variables as matching p whole would.
 
+    The cut needs theta(Q) to be read off the anchor.  When a variable of
+    Q outside the anchor occurs in A1 or B2, so that only the context
+    beyond a filler binds it (the direction x^2 y z x^2 -> x^2 y x^2 z x^2,
+    whose Q = x^2 lies between the fillers y and z), nothing is cut: the
+    anchor is all of p and A1 and B2 are empty.  No direction of
+    ``E1_BASIS`` or of ``sigma(n)`` is of that kind.
+
     A candidate that is a no-op, longer than ``max_length`` or already in
     ``out`` is dropped before the context is matched; B2 is then matched
     forward from stop and A1 backward from t (``_extend_into_context``),
-    and the first solution, taken with ``next``, admits the word.  When a variable of Q outside
-    the anchor is bound only by A1 or B2, its image comes from the context,
-    so every extension is enumerated and each distinct image is a rewrite.
-
-    With no filler the anchor is p, A1 and B2 are empty and the first
-    extension is found at once, so the every-embedding loop is this path's
-    special case; a separate loop for it measured no faster on the Fig4
-    limit edge's words."""
+    and the first solution, taken with ``next``, admits the word.  With
+    A1 and B2 empty, as for a whole-side anchor or a rule with no filler,
+    that first extension is found at once, so the every-embedding loop is
+    this path's special case; a separate loop for it measured no faster on
+    the Fig4 limit edge's words."""
     a_side, p_mid, q_mid, b_side = _split_rule(p, q)
     changing = set(p_mid) | set(q_mid)
     cut_a = len(a_side)
@@ -312,14 +320,9 @@ def _anchored_rewrites(
         cut_b += 1
     head, a_near = a_side[:cut_a], a_side[cut_a:]
     b_near, tail = b_side[:cut_b], b_side[cut_b:]
+    if (set(q_mid) - set(a_near + p_mid + b_near)) & set(head + tail):
+        head, a_near, b_near, tail = (), a_side, b_side, ()
     anchor = a_near + p_mid + b_near
-    deferred = bool((set(q_mid) - set(anchor)) & set(head + tail))
-
-    def rewrite(images: Mapping[str, tuple[str, ...]], s: int, e: int) -> tuple[str, ...] | None:
-        image = tuple(x for c in q_mid for x in images.get(c, ()))
-        if max_length is not None and len(ut) - (e - s) + len(image) > max_length:
-            return None
-        return ut[:s] + image + ut[e:]
 
     bindings: dict[str, tuple[str, ...]] = {}
     for t in range(len(ut) + 1):
@@ -329,14 +332,11 @@ def _anchored_rewrites(
                 s += len(bindings[c])
             for c in b_near:
                 e -= len(bindings[c])
-            if deferred:
-                for images, _ in _extend_into_context(ut, t, stop, head, tail, bindings):
-                    word = rewrite(images, s, e)
-                    if word is not None:
-                        out.add(word)
+            image = tuple(x for c in q_mid for x in bindings.get(c, ()))
+            if max_length is not None and len(ut) - (e - s) + len(image) > max_length:
                 continue
-            word = rewrite(bindings, s, e)
-            if word is None or word == ut or word in out:
+            word = ut[:s] + image + ut[e:]
+            if word == ut or word in out:
                 continue
             if next(_extend_into_context(ut, t, stop, head, tail, bindings), None) is not None:
                 out.add(word)
@@ -551,6 +551,36 @@ def is_canonical(w: Word) -> bool:
     return canonical_decomposition(w) is not None
 
 
+@dataclass(frozen=True)
+class LQEquivalence:
+    """Results of the two syntactic criteria for canonical words: block
+    structure equivalence (the Q^1 criterion) and initial-part equality
+    (the L2^1 criterion)."""
+
+    q_equivalent: bool
+    l_equivalent: bool
+
+
+def lq_equiv_syntactic(u: Word, v: Word) -> LQEquivalence:
+    """Syntactic equivalence tests used for canonical words.
+
+    The Q^1 criterion requires both words to be canonical (raises ValueError
+    otherwise): same separator sequence and same per-block content.  The
+    L2^1 criterion is initial-part equality and applies to any words.
+    """
+    du = canonical_decomposition(u)
+    dv = canonical_decomposition(v)
+    if du is None or dv is None:
+        raise ValueError("lq_equiv_syntactic needs canonical words")
+    q_ok = (
+        du.separators == dv.separators
+        and len(du.blocks) == len(dv.blocks)
+        and all(set(x) == set(y) for x, y in zip(du.blocks, dv.blocks))
+    )
+    l_ok = u.initial_part() == v.initial_part()
+    return LQEquivalence(q_equivalent=q_ok, l_equivalent=l_ok)
+
+
 def to_canonical(
     w: Word, rules: Sequence[Identity] = E1_BASIS
 ) -> tuple[Word, DerivationScript]:
@@ -597,9 +627,6 @@ def to_canonical(
     chain = _path_to_root(parent, found)[::-1]
     script = DerivationScript(rules=rules, words=tuple(chain))
     script.check()
-    from .equations import BudgetExceededError, satisfies
-    from .monoids import catalog
-
     e1 = catalog("E^1")
     try:
         sound = all(satisfies(e1, rule).holds for rule in rules)

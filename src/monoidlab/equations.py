@@ -95,8 +95,6 @@ __all__ = [
     "MemberVerdict",
     "member",
     "minimal_generating_set",
-    "LQEquivalence",
-    "lq_equiv_syntactic",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -1105,40 +1103,3 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
             else:
                 buckets[vb] = (word, va)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Syntactic equivalence criteria
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LQEquivalence:
-    """Results of the two syntactic criteria for canonical words: block
-    structure equivalence (the Q^1 criterion) and initial-part equality
-    (the L2^1 criterion)."""
-
-    q_equivalent: bool
-    l_equivalent: bool
-
-
-def lq_equiv_syntactic(u: Word, v: Word) -> LQEquivalence:
-    """Syntactic equivalence tests used for canonical words.
-
-    The Q^1 criterion requires both words to be canonical (raises ValueError
-    otherwise): same separator sequence and same per-block content.  The
-    L2^1 criterion is initial-part equality and applies to any words.
-    """
-    from .deduction import canonical_decomposition
-
-    du = canonical_decomposition(u)
-    dv = canonical_decomposition(v)
-    if du is None or dv is None:
-        raise ValueError("lq_equiv_syntactic needs canonical words")
-    q_ok = (
-        du.separators == dv.separators
-        and len(du.blocks) == len(dv.blocks)
-        and all(set(x) == set(y) for x, y in zip(du.blocks, dv.blocks))
-    )
-    l_ok = u.initial_part() == v.initial_part()
-    return LQEquivalence(q_equivalent=q_ok, l_equivalent=l_ok)

@@ -195,7 +195,7 @@ def _parse_entry(index: int, lineno: int, line: str) -> ManifestEntry:
             return ManifestEntry(index, lineno, kind, (rest,), source=line)
         if kind == "expect-order":
             parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise _fail(lineno, "expect-order needs a monoid and a number")
             return ManifestEntry(index, lineno, kind, (parts[0],), expected=parts[1],
                                  source=line)

@@ -658,26 +658,23 @@ def _catalog_cached(normalized: str) -> FiniteMonoid:
     base = normalized
     if base.endswith("^1"):
         base, adjoin = base[:-2], True
-    m = _CYCLIC_RE.fullmatch(base)
-    if m:
-        M = _cyclic_group(int(m.group(1)))
+    cyclic = _CYCLIC_RE.fullmatch(base)
+    rees = _REES_RE.fullmatch(base)
+    inner = rees.group(1).strip() if rees else ""
+    pieces = [p for p in inner.split(",") if p.strip()]
+    if cyclic and int(cyclic.group(1)):
+        M = _cyclic_group(int(cyclic.group(1)))
     elif base == "S3":
         M = _symmetric_group_3()
+    elif rees and (pieces or not inner):
+        M = rees_quotient([parse_word(p) if p.strip() != "1" else Word(()) for p in pieces] or [Word(())])
+    elif base in STOCK_PRESENTATIONS:
+        M = _load_stock(base)
     else:
-        m = _REES_RE.fullmatch(base)
-        if m:
-            inner = m.group(1).strip()
-            pieces = [p for p in inner.split(",") if p.strip()]
-            if not pieces and inner not in ("", "1"):
-                raise KeyError(normalized)
-            M = rees_quotient([parse_word(p) if p.strip() != "1" else Word(()) for p in pieces] or [Word(())])
-        elif base in STOCK_PRESENTATIONS:
-            M = _load_stock(base)
-        else:
-            raise KeyError(
-                f"unknown catalog name {normalized!r}; known: "
-                f"{', '.join(catalog_names())}"
-            )
+        raise KeyError(
+            f"unknown catalog name {normalized!r}; known: "
+            f"{', '.join(catalog_names())}"
+        )
     return adjoin_identity(M) if adjoin else M
 
 

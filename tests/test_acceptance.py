@@ -13,11 +13,16 @@ import random
 import time
 from contextlib import contextmanager
 
-from monoidlab.deduction import bundled_scripts, canonical_decomposition, lambda_reduce, sigma_classify
+from monoidlab.deduction import (
+    bundled_scripts,
+    canonical_decomposition,
+    lambda_reduce,
+    lq_equiv_syntactic,
+    sigma_classify,
+)
 from monoidlab.equations import (
     IsotermBudget,
     isoterm,
-    lq_equiv_syntactic,
     member,
     satisfies,
 )

@@ -62,6 +62,7 @@ def test_parse_structured_fields():
         ("expect-member-verdict A B", "needs two monoids and a verdict"),
         ("expect-derivation-valid", "needs one script reference"),
         ("expect-order E^1 six", "needs a monoid and a number"),
+        ("expect-order E^1 ²", "needs a monoid and a number"),
         ("expect-iso E^1", "needs two monoids"),
     ],
 )

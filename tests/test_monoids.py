@@ -8,6 +8,8 @@ literal since it was transcribed by hand rather than generated.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,11 @@ def test_cyclic_and_symmetric_groups():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog("XYZ")
+    # A cyclic group of order 0 and an M(...) of nothing but commas are not
+    # catalog names either, and say so as every unknown name does.
+    for name in ("Z0", "Z00", "M(,)"):
+        with pytest.raises(KeyError, match=re.escape(f"unknown catalog name {name!r}; known: ")):
+            catalog(name)
 
 
 # ---------------------------------------------------------------------------

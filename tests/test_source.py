@@ -1,5 +1,6 @@
 """Checks on the package source: no assert statements, Python 3.10 grammar,
-and the acceptance criteria met under ``python -O``."""
+no import cycle between its modules, and the acceptance criteria met under
+``python -O``."""
 
 from __future__ import annotations
 
@@ -41,6 +42,43 @@ def test_package_parses_as_python_3_10():
         except SyntaxError as exc:
             rejected.append(f"{path.relative_to(PACKAGE)}:{exc.lineno}: {exc.msg}")
     assert rejected == []
+
+
+def _intra_package_imports(path: pathlib.Path, modules: set[str]) -> set[str]:
+    """The package modules that ``path`` imports anywhere in its body,
+    function-level imports included (``__init__`` for the package itself)."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] if node.module else []
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names = [f"monoidlab.{node.module}"]
+            else:
+                names = [f"monoidlab.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "monoidlab":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
+    return found - {path.stem}
+
+
+def test_package_imports_form_no_cycle():
+    # A cycle between modules, even one hidden behind a function-level
+    # import, makes the import order matter; the modules must form layers.
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {path.stem for path in paths}
+    graph = {path.stem: _intra_package_imports(path, modules) for path in paths}
+    # The walk must see deduction's imports, or an empty graph would pass.
+    assert graph["deduction"] >= {"equations", "monoids", "words"}
+    # Peel off modules that import nothing left; a cycle is what remains.
+    while leaves := {m for m, deps in graph.items() if not deps}:
+        graph = {m: deps - leaves for m, deps in graph.items() if m not in leaves}
+    assert graph == {}
 
 
 def test_acceptance_criteria_pass_under_optimized_interpreter():
