@@ -8,17 +8,23 @@ breadth-first search over the (symmetric) one-step relation, whose
 neighbourhoods ``successors`` lists.
 
 Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
-(``_split_rule``): only P changes, and both match it once from each start
-with an open end.  ``directly_deducible`` starts P within the common prefix
-of u and v and keeps the stops within their common suffix; ``successors``
-starts it everywhere, grown over the context up to the nearest filler on
-each side (a letter of p outside P and Q, which only places the rewrite),
-or over all of p when Q needs a variable that only the context beyond a
+(``_split_rule``): only P changes into Q.  Each rule direction is planned
+once by ``_plan`` -- the split, the order of its variables, and the anchor
+of ``successors`` -- per call of ``directly_deducible`` or ``successors``,
+per chain in ``check_derivation`` and per search in ``derive_bounded`` and
+``to_canonical``, which hand their ``_PlannedRules`` to every call.
+``directly_deducible`` matches the shorter of P on u and Q on v first (P
+on a tie), once from each start within the common prefix of u and v with
+an open end, keeps the stops within that word's common suffix, and solves
+the other side to the matching end on its word; ``successors`` matches P
+from every start, grown over the context up to the nearest filler on each
+side (a letter of p outside P and Q, which only places the rewrite), or
+over all of p when Q needs a variable that only the context beyond a
 filler binds.  Both extend a solution into the rest of the context with
 ``_extend_into_context``.  Every match runs on the generator
 ``words.extend_match``, so each engine is nested ``for`` loops over the
-stops of P, of Q and of the context; ``successors`` admits a rewrite at
-the first extension into the context, by ``next``.
+stops of the changing sides and of the context; ``successors`` admits a
+rewrite at the first extension into the context, by ``next``.
 
 The module also implements the canonical-word machinery: canonical words
 factor as blocks of distinct squares separated by once-occurring letters,
@@ -137,34 +143,138 @@ def _extend_into_context(
             yield {c: t[::-1] for c, t in reversed_bindings.items()}, stop
 
 
+@dataclass(slots=True)
+class _Plan:
+    """What both one-step engines need of one rule direction p -> q, none
+    of which depends on the word: the split p = A·P·B, q = A·Q·B
+    (``_split_rule``); for ``_least_step`` which changed side it matches
+    first, p's variables in sorted order, the variables only in q, and the
+    key order of a returned theta; for ``_anchored_rewrites`` the filler
+    cut A = head·A2, B = B1·tail and its anchor A2·P·B1.  ``_plan`` builds
+    it; ``_PlannedRules`` holds one per rule direction."""
+
+    p: tuple[str, ...]
+    a_side: tuple[str, ...]
+    p_mid: tuple[str, ...]
+    q_mid: tuple[str, ...]
+    b_side: tuple[str, ...]
+    q_first: bool
+    p_vars: tuple[str, ...]
+    one_sided: tuple[str, ...]
+    order: tuple[str, ...]
+    head: tuple[str, ...]
+    a_near: tuple[str, ...]
+    b_near: tuple[str, ...]
+    tail: tuple[str, ...]
+    anchor: tuple[str, ...]
+
+
+def _plan(p: tuple[str, ...], q: tuple[str, ...]) -> _Plan:
+    """The plan of the rule direction p -> q.
+
+    A filler -- a letter of A·B in neither P nor Q, like h_1..h_n of
+    ``sigma(n)`` -- only places a rewrite: its image never reaches the
+    output, yet each filler multiplies the embeddings of p by up to len(u).
+    So A = head·A2 and B = B1·tail are cut at the filler nearest to P on
+    each side (A2 and B1 hold none).  The cut needs theta(Q) to be read off
+    the anchor A2·P·B1: when a variable of Q outside the anchor occurs in
+    head or tail, so that only the context beyond a filler binds it (the
+    direction x^2 y z x^2 -> x^2 y x^2 z x^2, whose Q = x^2 lies between
+    the fillers y and z), nothing is cut and the anchor is all of p.  No
+    direction of ``E1_BASIS`` or of ``sigma(n)`` is of that kind."""
+    a_side, p_mid, q_mid, b_side = _split_rule(p, q)
+    changing = set(p_mid).union(q_mid)
+    cut_a = len(a_side)
+    while cut_a and a_side[cut_a - 1] in changing:
+        cut_a -= 1
+    cut_b = 0
+    while cut_b < len(b_side) and b_side[cut_b] in changing:
+        cut_b += 1
+    head, a_near = a_side[:cut_a], a_side[cut_a:]
+    b_near, tail = b_side[:cut_b], b_side[cut_b:]
+    if (head or tail) and set(q_mid).difference(a_near, p_mid, b_near).intersection(head + tail):
+        head, a_near, b_near, tail = (), a_side, b_side, ()
+    p_set = set(p)
+    return _Plan(
+        p=p,
+        a_side=a_side,
+        p_mid=p_mid,
+        q_mid=q_mid,
+        b_side=b_side,
+        q_first=len(q_mid) < len(p_mid),
+        p_vars=tuple(sorted(p_set)),
+        one_sided=tuple(sorted(set(q).difference(p_set))),
+        order=tuple(dict.fromkeys(p + q)),
+        head=head,
+        a_near=a_near,
+        b_near=b_near,
+        tail=tail,
+        anchor=a_near + p_mid + b_near,
+    )
+
+
+class _PlannedRules(tuple):
+    """A tuple of rules that also holds the plans of each rule's two
+    directions, (forward, backward).  ``check_derivation``,
+    ``derive_bounded`` and ``to_canonical`` build one and pass it as the
+    ``rules`` of every ``directly_deducible`` or ``successors`` call they
+    make, so each rule direction is planned once per chain or search; a
+    plain sequence of rules is planned on each call (``_planned``)."""
+
+    plans: tuple[tuple[_Plan, _Plan], ...]
+
+    def __new__(cls, rules: Iterable[Identity]) -> "_PlannedRules":
+        self = super().__new__(cls, rules)
+        self.plans = tuple(
+            (_plan(r.lhs.letters, r.rhs.letters), _plan(r.rhs.letters, r.lhs.letters))
+            for r in self
+        )
+        return self
+
+
+def _planned(rules: Sequence[Identity]) -> _PlannedRules:
+    return rules if isinstance(rules, _PlannedRules) else _PlannedRules(rules)
+
+
 def _least_step(
-    ut: tuple[str, ...], vt: tuple[str, ...], p: Word, q: Word, lcp: int, lcs: int
+    ut: tuple[str, ...], vt: tuple[str, ...], plan: _Plan, lcp: int, lcs: int
 ) -> tuple[dict[str, Word], int] | None:
-    """The least (theta, position) rewriting ut to vt by p -> q, or None.
+    """The least (theta, position) rewriting ut to vt by the planned
+    direction p -> q, or None.
 
     "Least" is the (sorted theta restricted to p, position, sorted theta of
     the variables only in q) order.  With p = A·P·B and q = A·Q·B (see
     ``_split_rule``), every valid step has theta(P) = ut[s:e] and
-    theta(Q) = vt[s:e+delta] for a window with s <= lcp and
-    e >= len(ut) - lcs.  So P is matched once from each start s <= lcp
-    with an open end, and a stop e is kept only when e >= len(ut) - lcs
-    (then e + delta >= len(vt) - lcs >= 0).  Q is solved on vt jointly,
-    from s to exactly e + delta, and only then is the solution extended on
-    ut by ``_extend_into_context``: B to the right from e, A to the left
-    from s.
+    theta(Q) = vt[s:f] with f = e + delta, delta = len(vt) - len(ut), for
+    a window with s <= lcp, e >= len(ut) - lcs and f >= len(vt) - lcs.
+    The shorter of P and Q (P on a tie, ``_Plan.q_first``) is matched
+    first, on its own word (P on ut, Q on vt), once from each start
+    s <= lcp with an open end, and a stop is kept only within that word's
+    common suffix.  The other side is then solved jointly on its word to
+    exactly the matching end (f - delta on ut, e + delta on vt), and only
+    then is the solution extended on ut by ``_extend_into_context``: B to
+    the right from e, A to the left from s.  Both orders give the same set
+    of (s, e, theta) solutions, and the least key is taken over that set.
     """
-    a_side, p_mid, q_mid, b_side = _split_rule(p.letters, q.letters)
-    p_vars = sorted(p.content())
-    one_sided = sorted(q.content() - p.content())
-    nu, delta = len(ut), len(vt) - len(ut)
+    delta = len(vt) - len(ut)
+    q_first = plan.q_first
+    if q_first:
+        first, first_text, second, second_text, shift = plan.q_mid, vt, plan.p_mid, ut, -delta
+    else:
+        first, first_text, second, second_text, shift = plan.p_mid, ut, plan.q_mid, vt, delta
+    floor = len(first_text) - lcs
+    a_side, b_side = plan.a_side, plan.b_side
+    p_vars, one_sided = plan.p_vars, plan.one_sided
 
     best: tuple | None = None
     bindings: dict[str, tuple[str, ...]] = {}
     for s in range(lcp + 1):
-        for e in extend_match(p_mid, ut, s, None, bindings):
-            if e < nu - lcs:
+        for stop in extend_match(first, first_text, s, None, bindings):
+            if stop < floor:
                 continue
-            for _ in extend_match(q_mid, vt, s, e + delta, bindings):
+            end = stop + shift
+            e = end if q_first else stop
+            for _ in extend_match(second, second_text, s, end, bindings):
                 context = _extend_into_context(ut, s, e, a_side, b_side, bindings)
                 for images, head_length in context:
                     key = (
@@ -178,8 +288,7 @@ def _least_step(
     if best is None:
         return None
     (_key_p, pos, _key_q), images = best
-    order = dict.fromkeys(p.letters + q.letters)
-    return {c: Word(images[c]) for c in order}, pos
+    return {c: Word(images[c]) for c in plan.order}, pos
 
 
 def directly_deducible(
@@ -196,24 +305,25 @@ def directly_deducible(
     exhaustive search in that order would find.
 
     The search is anchored on where u and v differ rather than on every
-    embedding of the rule into u: only the part of the rule where its two
-    sides differ is matched, once from each start within the common prefix
-    of u and v, and a match counts only if it ends within their common
-    suffix (see ``_least_step``).
+    embedding of the rule into u: only the parts of the rule where its two
+    sides differ are matched, the shorter one first, once from each start
+    within the common prefix of u and v, and a match counts only if it ends
+    within their common suffix (see ``_least_step``).  Each rule direction
+    is planned once per call (``_plan``), or not at all when ``rules`` comes
+    planned from ``check_derivation``.
     """
     if u == v:
         return None
     ut, vt = u.letters, v.letters
     lcp = _common_prefix(ut, vt)
     lcs = _common_prefix(ut[::-1], vt[::-1])
-    for idx, rule in enumerate(rules):
-        for forward in (True, False):
-            p, q = (rule.lhs, rule.rhs) if forward else (rule.rhs, rule.lhs)
-            found = _least_step(ut, vt, p, q, lcp, lcs)
+    for idx, plans in enumerate(_planned(rules).plans):
+        for forward, plan in zip((True, False), plans):
+            found = _least_step(ut, vt, plan, lcp, lcs)
             if found is None:
                 continue
             theta, pos = found
-            end = pos + sum(len(theta[c]) for c in p.letters)
+            end = pos + sum(len(theta[c]) for c in plan.p)
             return DerivationStep(
                 source=u,
                 target=v,
@@ -232,13 +342,15 @@ def check_derivation(
     """Verify that consecutive words are each one rule application apart.
 
     Words must be pairwise distinct.  Raises DerivationError naming the
-    first failing link; returns the verified steps.
+    first failing link; returns the verified steps.  The rules are planned
+    once for the whole chain.
     """
     words = list(words)
     if not words:
         raise DerivationError("empty derivation")
     if len(set(words)) != len(words):
         raise DerivationError("derivation words must be pairwise distinct")
+    rules = _planned(rules)
     steps = []
     for i in range(len(words) - 1):
         step = directly_deducible(words[i], words[i + 1], rules)
@@ -263,67 +375,47 @@ def successors(
 
     Every rule direction is matched by ``_anchored_rewrites``: only the
     part of p around the letters that change is matched from each start,
-    and the rest of p is asked for one extension.
+    and the rest of p is asked for one extension.  Each rule direction is
+    planned once per call (``_plan``), or not at all when ``rules`` comes
+    planned from ``derive_bounded`` or ``to_canonical``.
     """
     ut = u.letters
     out: set[tuple[str, ...]] = set()
-    for rule in rules:
-        for p, q in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            _anchored_rewrites(ut, p.letters, q.letters, max_length, out)
+    for plans in _planned(rules).plans:
+        for plan in plans:
+            _anchored_rewrites(ut, plan, max_length, out)
     # shortlex on the letter tuples: the order of the Words built from them
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 
 
 def _anchored_rewrites(
     ut: tuple[str, ...],
-    p: tuple[str, ...],
-    q: tuple[str, ...],
+    plan: _Plan,
     max_length: int | None,
     out: set[tuple[str, ...]],
 ) -> None:
-    """Add to ``out`` every rewrite of ut by p -> q other than u itself.
+    """Add to ``out`` every rewrite of ut by the planned direction p -> q
+    other than u itself.
 
-    With p = A·P·B and q = A·Q·B (``_split_rule``), only the part matched
-    by P changes.  A filler -- a letter of A·B in neither P nor Q, like
-    h_1..h_n of ``sigma(n)`` -- only places the rewrite: its image never
-    reaches the output, yet each filler multiplies the embeddings of p by
-    up to len(u).  So A = A1·A2 and B = B1·B2 are cut at the filler nearest
-    to P on each side (A2 and B1 hold none), and the anchor A2·P·B1 is
-    matched from every start t with an open end: a solution ending at stop
-    gives the window s = t + |theta(A2)|, e = stop - |theta(B1)| and the
-    word ut[:s]·theta(Q)·ut[e:].  The letters the anchor keeps beside P
-    repeat variables of P or Q, and matching them with P pins those
-    variables as matching p whole would.
-
-    The cut needs theta(Q) to be read off the anchor.  When a variable of
-    Q outside the anchor occurs in A1 or B2, so that only the context
-    beyond a filler binds it (the direction x^2 y z x^2 -> x^2 y x^2 z x^2,
-    whose Q = x^2 lies between the fillers y and z), nothing is cut: the
-    anchor is all of p and A1 and B2 are empty.  No direction of
-    ``E1_BASIS`` or of ``sigma(n)`` is of that kind.
+    With p = head·A2·P·B1·tail and q = head·A2·Q·B1·tail (``_plan``: A2
+    and B1 reach from P to the nearest filler, or over all of p), only the
+    part matched by P changes.  The anchor A2·P·B1 is matched from every
+    start t with an open end: a solution ending at stop gives the window
+    s = t + |theta(A2)|, e = stop - |theta(B1)| and the word
+    ut[:s]·theta(Q)·ut[e:].  The letters the anchor keeps beside P repeat
+    variables of P or Q, and matching them with P pins those variables as
+    matching p whole would.
 
     A candidate that is a no-op, longer than ``max_length`` or already in
-    ``out`` is dropped before the context is matched; B2 is then matched
-    forward from stop and A1 backward from t (``_extend_into_context``),
+    ``out`` is dropped before the context is matched; tail is then matched
+    forward from stop and head backward from t (``_extend_into_context``),
     and the first solution, taken with ``next``, admits the word.  With
-    A1 and B2 empty, as for a whole-side anchor or a rule with no filler,
-    that first extension is found at once, so the every-embedding loop is
-    this path's special case; a separate loop for it measured no faster on
-    the Fig4 limit edge's words."""
-    a_side, p_mid, q_mid, b_side = _split_rule(p, q)
-    changing = set(p_mid) | set(q_mid)
-    cut_a = len(a_side)
-    while cut_a and a_side[cut_a - 1] in changing:
-        cut_a -= 1
-    cut_b = 0
-    while cut_b < len(b_side) and b_side[cut_b] in changing:
-        cut_b += 1
-    head, a_near = a_side[:cut_a], a_side[cut_a:]
-    b_near, tail = b_side[:cut_b], b_side[cut_b:]
-    if (set(q_mid) - set(a_near + p_mid + b_near)) & set(head + tail):
-        head, a_near, b_near, tail = (), a_side, b_side, ()
-    anchor = a_near + p_mid + b_near
-
+    head and tail empty, as for a whole-side anchor or a rule with no
+    filler, that first extension is found at once, so the every-embedding
+    loop is this path's special case; a separate loop for it measured no
+    faster on the Fig4 limit edge's words."""
+    head, a_near, b_near, tail = plan.head, plan.a_near, plan.b_near, plan.tail
+    anchor, q_mid = plan.anchor, plan.q_mid
     bindings: dict[str, tuple[str, ...]] = {}
     for t in range(len(ut) + 1):
         for stop in extend_match(anchor, ut, t, None, bindings):
@@ -446,6 +538,7 @@ def derive_bounded(
     if max_length is None:
         max_length = max(len(u), len(v)) + 4
     rules = tuple(rules)
+    planned = _PlannedRules(rules)
     if u == v:
         raise DerivationError("endpoints must differ")
     if len(u) > max_length or len(v) > max_length:
@@ -461,7 +554,7 @@ def derive_bounded(
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         new_frontier: list[Word] = []
         for word in frontiers[side]:
-            for nxt in successors(word, rules, max_length=max_length):
+            for nxt in successors(word, planned, max_length=max_length):
                 if nxt in parents[side]:
                     continue
                 if explored >= max_words:
@@ -597,6 +690,7 @@ def to_canonical(
     max_words = 50_000
     max_length = len(w) + 4
     rules = tuple(rules)
+    planned = _PlannedRules(rules)
     parent: dict[Word, Word | None] = {w: None}
     frontier = [w]
     found: Word | None = None
@@ -606,7 +700,7 @@ def to_canonical(
         next_frontier: list[Word] = []
         level_hits: list[Word] = []
         for word in frontier:
-            for nxt in successors(word, rules, max_length=max_length):
+            for nxt in successors(word, planned, max_length=max_length):
                 if nxt in parent:
                     continue
                 parent[nxt] = word

@@ -5,9 +5,14 @@ exhaustive searches they replaced.
 ``deduction.directly_deducible``, kept verbatim: it enumerates every
 embedding of a rule side into u with ``match_pattern`` and returns the
 first one, in (substitution, position) order, that fits the u -> v
-context.  The anchored search must return the identical step -- rule,
-direction, substitution (with its key order), left and right context -- on
-every input, including ``None`` when no single step exists.
+context.  The anchored search, which matches the shorter changing side of
+each rule direction first (P on u or Q on v), must return the identical
+step -- rule, direction, substitution (with its key order), left and right
+context -- on every input, including ``None`` when no single step exists.
+Random single rules put each order (Q first, P first, a tie) and
+variables found only on the shorter side under that comparison, and
+``check_derivation``, which plans each rule direction once per chain, must
+return the steps of a fresh ``directly_deducible`` call per link.
 
 ``oracle_successors`` is the first body of ``deduction.successors``: it
 enumerates every substitution with ``match_pattern``, then every position
@@ -33,6 +38,7 @@ from monoidlab.deduction import (
     E1_BASIS,
     DerivationStep,
     bundled_scripts,
+    check_derivation,
     derive_bounded,
     directly_deducible,
     successors,
@@ -256,6 +262,68 @@ def test_oracle_agrees_on_seeded_pairs(seed, pairs, letters, lengths, bounds):
     # Both outcomes are well represented.
     low, high = bounds
     assert low < found < high
+
+
+def _changed_sides(p: Word, q: Word) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """P and Q of p = A·P·B, q = A·Q·B: what is left of each side after
+    their longest common prefix, then their longest common suffix."""
+    pt, qt = p.letters, q.letters
+    a = 0
+    while a < min(len(pt), len(qt)) and pt[a] == qt[a]:
+        a += 1
+    b = 0
+    while b < min(len(pt), len(qt)) - a and pt[-1 - b] == qt[-1 - b]:
+        b += 1
+    return pt[a : len(pt) - b], qt[a : len(qt) - b]
+
+
+def test_oracle_agrees_on_seeded_random_rules():
+    # One random rule per pair, sides of 0-6 letters over xyhz, so that the
+    # shorter changed side is Q, P or neither (a tie), and the shorter side
+    # often holds variables the other side lacks.
+    rng = random.Random(20261023)
+    roles = dict.fromkeys(("q_first", "p_first", "tie", "one_sided_shorter"), 0)
+    found = 0
+    for _ in range(2000):
+        sides = [_random_word(rng, "xyhz", (0, 6)) for _ in range(2)]
+        rules = (Identity(*sides),)
+        u = _random_word(rng, "xyhz", (0, 9))
+        nearby = successors(u, rules)
+        if nearby and rng.random() < 0.7:
+            v = rng.choice(nearby)
+        else:
+            v = _random_word(rng, "xyhz", (0, 9))
+        step = _assert_same(u, v, rules)
+        if step is None:
+            continue
+        found += 1
+        p, q = sides if step.forward else sides[::-1]
+        p_mid, q_mid = _changed_sides(p, q)
+        if len(q_mid) < len(p_mid):
+            roles["q_first"] += 1
+            roles["one_sided_shorter"] += bool(q.content() - p.content())
+        elif len(p_mid) < len(q_mid):
+            roles["p_first"] += 1
+            roles["one_sided_shorter"] += bool(p.content() - q.content())
+        else:
+            roles["tie"] += 1
+    assert 1000 < found < 1800
+    # Every order of the two changed sides decides many steps.
+    assert min(roles.values()) > 100, roles
+
+
+def test_check_derivation_matches_directly_deducible_on_bundled_scripts():
+    # check_derivation plans each rule direction once for the whole chain;
+    # its steps must be those of a fresh directly_deducible call per link.
+    links = 0
+    for name, script in bundled_scripts().items():
+        words = script.words
+        got = check_derivation(words, script.rules)
+        want = [directly_deducible(u, v, script.rules) for u, v in zip(words, words[1:])]
+        assert got == want, name
+        assert [list(s.theta) for s in got] == [list(s.theta) for s in want], name
+        links += len(got)
+    assert links == 62
 
 
 def test_empty_source_word():
