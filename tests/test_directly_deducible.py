@@ -9,10 +9,11 @@ context.  The anchored search, which matches the shorter changing side of
 each rule direction first (P on u or Q on v), must return the identical
 step -- rule, direction, substitution (with its key order), left and right
 context -- on every input, including ``None`` when no single step exists.
-Random single rules put each order (Q first, P first, a tie) and
-variables found only on the shorter side under that comparison, and
-``check_derivation``, which plans each rule direction once per chain, must
-return the steps of a fresh ``directly_deducible`` call per link.
+Seeded random single rules make each order decide many steps (Q first, P
+first, a tie), also where the shorter side holds variables the other side
+lacks.  ``check_derivation``, which plans each rule direction once per
+chain, must return the steps of a fresh ``directly_deducible`` call per
+link.
 
 ``oracle_successors`` is the first body of ``deduction.successors``: it
 enumerates every substitution with ``match_pattern``, then every position
