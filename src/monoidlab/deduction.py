@@ -10,9 +10,10 @@ neighbourhoods ``successors`` lists.
 Both one-step engines split a rule direction as p = A·P·B and q = A·Q·B
 (``_split_rule``): only P changes into Q.  Each rule direction is planned
 once by ``_plan`` -- the split, the order of its variables, and the anchor
-of ``successors`` -- per call of ``directly_deducible`` or ``successors``,
-per chain in ``check_derivation`` and per search in ``derive_bounded`` and
-``to_canonical``, which hand their ``_PlannedRules`` to every call.
+of ``successors`` -- per call of ``successors``, when a call of
+``directly_deducible`` reaches it, and per chain in ``check_derivation``
+and per search in ``derive_bounded`` and ``to_canonical``, which hand
+their ``_PlannedRules`` to every call.
 ``directly_deducible`` matches the shorter of P on u and Q on v first (P
 on a tie), once from each start within the common prefix of u and v with
 an open end, keeps the stops within that word's common suffix, and solves
@@ -213,27 +214,36 @@ def _plan(p: tuple[str, ...], q: tuple[str, ...]) -> _Plan:
     )
 
 
+def _rule_directions(rules: Iterable[Identity]) -> Iterator[tuple[int, bool, _Plan]]:
+    """Each rule direction as (rule index, forward, plan), in the order
+    both engines try them: rules in order, each forward then backward,
+    each planned only when it is reached."""
+    for idx, r in enumerate(rules):
+        yield idx, True, _plan(r.lhs.letters, r.rhs.letters)
+        yield idx, False, _plan(r.rhs.letters, r.lhs.letters)
+
+
 class _PlannedRules(tuple):
-    """A tuple of rules that also holds the plans of each rule's two
-    directions, (forward, backward).  ``check_derivation``,
+    """A tuple of rules that also holds every rule direction's plan, as
+    ``_rule_directions`` yields it.  ``check_derivation``,
     ``derive_bounded`` and ``to_canonical`` build one and pass it as the
     ``rules`` of every ``directly_deducible`` or ``successors`` call they
     make, so each rule direction is planned once per chain or search; a
-    plain sequence of rules is planned on each call (``_planned``)."""
+    plain sequence of rules is planned as each call reaches its directions
+    (``_directions``)."""
 
-    plans: tuple[tuple[_Plan, _Plan], ...]
+    directions: tuple[tuple[int, bool, _Plan], ...]
 
     def __new__(cls, rules: Iterable[Identity]) -> "_PlannedRules":
         self = super().__new__(cls, rules)
-        self.plans = tuple(
-            (_plan(r.lhs.letters, r.rhs.letters), _plan(r.rhs.letters, r.lhs.letters))
-            for r in self
-        )
+        self.directions = tuple(_rule_directions(self))
         return self
 
 
-def _planned(rules: Sequence[Identity]) -> _PlannedRules:
-    return rules if isinstance(rules, _PlannedRules) else _PlannedRules(rules)
+def _directions(rules: Sequence[Identity]) -> Iterable[tuple[int, bool, _Plan]]:
+    if isinstance(rules, _PlannedRules):
+        return rules.directions
+    return _rule_directions(rules)
 
 
 def _least_step(
@@ -309,7 +319,8 @@ def directly_deducible(
     sides differ are matched, the shorter one first, once from each start
     within the common prefix of u and v, and a match counts only if it ends
     within their common suffix (see ``_least_step``).  Each rule direction
-    is planned once per call (``_plan``), or not at all when ``rules`` comes
+    is planned when the search reaches it (``_plan``), so a step found by
+    the first rule plans no other, or not at all when ``rules`` comes
     planned from ``check_derivation``.
     """
     if u == v:
@@ -317,22 +328,21 @@ def directly_deducible(
     ut, vt = u.letters, v.letters
     lcp = _common_prefix(ut, vt)
     lcs = _common_prefix(ut[::-1], vt[::-1])
-    for idx, plans in enumerate(_planned(rules).plans):
-        for forward, plan in zip((True, False), plans):
-            found = _least_step(ut, vt, plan, lcp, lcs)
-            if found is None:
-                continue
-            theta, pos = found
-            end = pos + sum(len(theta[c]) for c in plan.p)
-            return DerivationStep(
-                source=u,
-                target=v,
-                rule_index=idx,
-                forward=forward,
-                theta=theta,
-                left=u[:pos],
-                right=u[end:],
-            )
+    for idx, forward, plan in _directions(rules):
+        found = _least_step(ut, vt, plan, lcp, lcs)
+        if found is None:
+            continue
+        theta, pos = found
+        end = pos + sum(len(theta[c]) for c in plan.p)
+        return DerivationStep(
+            source=u,
+            target=v,
+            rule_index=idx,
+            forward=forward,
+            theta=theta,
+            left=u[:pos],
+            right=u[end:],
+        )
     return None
 
 
@@ -350,7 +360,7 @@ def check_derivation(
         raise DerivationError("empty derivation")
     if len(set(words)) != len(words):
         raise DerivationError("derivation words must be pairwise distinct")
-    rules = _planned(rules)
+    rules = _PlannedRules(rules)
     steps = []
     for i in range(len(words) - 1):
         step = directly_deducible(words[i], words[i + 1], rules)
@@ -381,9 +391,8 @@ def successors(
     """
     ut = u.letters
     out: set[tuple[str, ...]] = set()
-    for plans in _planned(rules).plans:
-        for plan in plans:
-            _anchored_rewrites(ut, plan, max_length, out)
+    for _, _, plan in _directions(rules):
+        _anchored_rewrites(ut, plan, max_length, out)
     # shortlex on the letter tuples: the order of the Words built from them
     return [Word(t) for t in sorted(out, key=lambda t: (len(t), t))]
 

@@ -43,19 +43,26 @@ flattened column-major (uint8 up to 256 elements, uint16 above), and each
 letter's column of element indices scaled by n once, built on first use.
 Multiplying every value by a letter on the right is then one gather,
 ``table[column + values]``, and a value set takes one scatter per letter;
-the kernel also decodes a witness index.  ``satisfies``, the isoterm
-scans, the bounded identity search of ``member`` and ``rel_free`` all run
-on it; the isoterm falsifier phases over M(W) compare factor keys and
-never scan.  The kernel bounds nothing: each verdict checks its space's
-size n^k against its own budget.
+the kernel also decodes a witness index.  ``satisfies`` and the isoterm
+scans run on it; the isoterm falsifier phases over M(W) compare factor
+keys and never scan.  ``rel_free`` and the bounded identity search of
+``member`` run on ``_separating_columns``, built from the kernel's
+columns and tables of each factor of a direct product (a monoid that is
+no product is one factor): each factor keeps its own assignments, cut
+down at its proper zero, and all of them gather through one concatenated
+table, so a product of n_1 and n_2 elements costs tuples over n_1^k +
+n_2^k assignments, not (n_1·n_2)^k.  The kernel bounds nothing: each
+verdict checks its space's size n^k, over the whole monoid, against its
+own budget.
 
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
 the tuple of its values under all n^k assignments, and the reachable tuples
 are explored breadth-first (so each class representative is the shortlex
-least word evaluating to it).  When M has a proper zero, the (n-1)^k
-assignments that avoid it and k content probes already tell the same words
-apart, and only those are kept.  Representatives are closed under taking
+least word evaluating to it).  Two words are equal in a direct product iff
+they are equal in every factor, and when a factor has a proper zero, its
+zero-free assignments and k content probes already tell the same words
+apart, so only those are kept.  Representatives are closed under taking
 factors, so, as in Froidure & Pin ("Algorithms for computing finite
 semigroups", 1997), most transitions are looked up from the suffix and
 left multiples of states already built; only a transition that could reach
@@ -489,6 +496,65 @@ class RelFree:
         return [self.word_of(s) for s in range(self.size)]
 
 
+@dataclass(frozen=True)
+class _Separating:
+    """Assignments that separate words, laid out for one gather per letter
+    (see ``_separating_columns``)."""
+
+    table: np.ndarray  # the factors' column-major tables, one block each
+    columns: list[np.ndarray]  # per variable: kept element index * n_f + block offset
+    root: np.ndarray  # the empty word's values: each factor's identity
+    widths: list[int]  # the number of assignments each factor keeps
+
+
+def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
+    """Assignments of k variables that tell two words apart exactly when
+    they differ in the direct product of ``factors`` (a monoid that is no
+    product is its own single factor).
+
+    Words are equal in a product iff they are equal in every factor, so
+    each factor f of n_f elements keeps assignments of its own.  Where f
+    has a proper zero z (z != e), let Z be the variables an assignment t
+    sends to z.  A word u whose content meets Z has u(t) = z; any other u
+    has u(t) = u(t'), where t' sends Z to e and so is zero-free.  Content
+    is read off the k probes p_i (x_i -> z, every other variable -> e):
+    u(p_i) = z iff x_i occurs in u.  So f keeps its (n_f - 1)^k zero-free
+    assignments and the k probes; without a proper zero (the trivial
+    monoid's zero is its identity) it keeps all n_f^k.
+
+    Every block gathers through one table: the factors' column-major
+    tables (``_AssignmentSpace.by_column``) concatenated, f's block offset
+    by the earlier factors' n_g^2, in the least unsigned dtype that holds
+    an element index of the largest factor.  A variable's column holds,
+    per kept assignment, the element index times n_f plus f's offset, so
+    the values of u·x_j, factor-local like the root's, are one gather,
+    ``table[columns[j] + values(u)]``.
+    """
+    dtype = np.min_scalar_type(max(f.order for f in factors) - 1)
+    tables, blocks, roots = [], [], []
+    offset = 0
+    for f in factors:
+        # Keyed by position, so a repeated variable name in a caller keeps
+        # a column of its own.
+        space = _AssignmentSpace(f, range(k))
+        n, e, z = f.order, space.identity, f.zero_index()
+        cols = np.array(list(space.columns.values()), dtype=np.int32).reshape(k, space.total)
+        if z is not None and z != e:
+            probes = np.full((k, k), e * n, dtype=np.int32)
+            np.fill_diagonal(probes, z * n)
+            cols = np.hstack([cols[:, (cols != z * n).all(axis=0)], probes])
+        tables.append(space.by_column)
+        blocks.append(cols + offset)
+        roots.append(np.full(cols.shape[1], e, dtype=dtype))
+        offset += n * n
+    return _Separating(
+        table=np.concatenate(tables).astype(dtype, copy=False),
+        columns=list(np.hstack(blocks).astype(np.intp)),
+        root=np.concatenate(roots),
+        widths=[len(r) for r in roots],
+    )
+
+
 def rel_free(
     M: FiniteMonoid,
     k: int,
@@ -526,28 +592,20 @@ def rel_free(
     check runs on every transition either way.  Each state's tuple is kept
     once, as its ``bytes`` key.
 
-    The assignments kept separate the same words as all n^k do.  Let M
-    have a proper zero z (z != e), and let Z be the variables an assignment
-    t sends to z.  A word u whose content meets Z has u(t) = z; any other u
-    has u(t) = u(t'), where t' sends Z to e and so is zero-free.  Content
-    is read off the k probes p_i (x_i -> z, every other variable -> e):
-    u(p_i) = z iff x_i occurs in u.  So only the (n-1)^k zero-free
-    assignments and the k probes are kept.  Two words then have equal
-    tuples iff they have equal values under all n^k assignments, and right
-    multiplication acts on each assignment alone, so the BFS meets the same
-    states in the same order.  Without a proper zero (the trivial monoid's
-    zero is its identity) every assignment is kept.  The columns and the
-    table are the kernel's (``_AssignmentSpace``): the kept part of each
-    generator's column, scaled by n, and the column-major table (uint8 up
-    to 256 elements, uint16 above), so the tuple of u·x_j is one gather,
-    ``table[col_j + tuple(u)]``, in the table's dtype.
+    The assignments kept are ``_separating_columns``' over M's factors
+    (M alone when it is no ``direct_product``): each factor's zero-free
+    assignments and probes, which tell two words apart exactly when all
+    n^k assignments of M do.  Right multiplication acts on each assignment
+    alone, so the BFS meets the same states in the same order as over all
+    n^k, and the tuple of u·x_j is one gather, ``table[col_j + tuple(u)]``,
+    in the table's dtype.
 
-    Raises RelFreeCapExceeded if n^k exceeds ``max_dim`` (whatever the
-    number of assignments kept).
+    Raises RelFreeCapExceeded if n^k, over M's own n elements, exceeds
+    ``max_dim`` (whatever the number of assignments kept).
     Returns ``complete=False`` (with whatever was found) if the search ended
     at a conflict or the state count would exceed ``max_states``.
     """
-    e = M.require_identity()
+    M.require_identity()
     n = M.order
     dim = n ** k
     if dim > max_dim:
@@ -560,22 +618,12 @@ def rel_free(
     if len(gen_names) != k:
         raise ValueError("generator name list must have length k")
 
-    # The zero-free assignments, then the k probes (see above), as the
-    # kernel's columns: element indices times n.  The space is keyed by
-    # position, so a repeated generator name keeps a column of its own.
-    space = _AssignmentSpace(M, range(k))
-    cols = np.array(list(space.columns.values()), dtype=np.int32).reshape(k, dim)
-    z = M.zero_index()
-    if z is not None and z != e:
-        probes = np.full((k, k), e * n, dtype=np.int32)
-        np.fill_diagonal(probes, z * n)
-        cols = np.hstack([cols[:, (cols != z * n).all(axis=0)], probes])
     # A list of rows, bound once: indexing the 2-D array on every step
     # of the search costs measurably more, and so does a gather through
-    # int32 rather than native indices.  A gather through the kernel's
-    # table lands straight in a tuple's bytes, in the table's dtype.
-    gen_cols = list(cols.astype(np.intp))
-    flat = space.by_column
+    # int32 rather than native indices.  A gather through the table lands
+    # straight in a tuple's bytes, in the table's dtype.
+    cut = _separating_columns(M.factors or (M,), k)
+    gen_cols, flat = cut.columns, cut.table
 
     tracked = None
     if track is not None:
@@ -586,7 +634,7 @@ def rel_free(
         track_table = track.table.tolist()
         tracked = [track.identity]
 
-    root = np.full(cols.shape[1], e, dtype=flat.dtype).tobytes()
+    root = cut.root.tobytes()
     keys = [root]  # the tuple of each state, shared with ``index``
     index: dict[bytes, int] = {root: 0}
     parent = [-1]
@@ -1075,31 +1123,47 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
     nvars <= 3 both sides are words of length <= 6 that use every one of
     x1..x_nvars.
 
-    Smaller nvars are searched first.  Within one nvars, v is the first
+    Smaller nvars are searched first, and only while A's and B's n^nvars
+    substitutions fit ``DEFAULT_BUDGET``.  Within one nvars, v is the first
     word in shortlex order whose B-values equal those of the first word u
     with those B-values while its A-values differ.  Identities whose sides
     use different variable sets (such as x1^2 x2 = x1^2) are never tried.
+
+    A word's values are read on ``_separating_columns`` over B's factors
+    followed by A's, so one gather per letter extends B's and A's at once,
+    and the first part of each tuple, B's, keys the buckets.  The words of
+    one length come in ``itertools.product`` order, each keeping the
+    values of its prefixes, so a word re-gathers only from the first letter
+    that changed: one gather per node of the trie of words.
     """
+    b_factors = B.factors or (B,)
     for nvars in range(1, 4):
-        variables = [f"x{i+1}" for i in range(nvars)]
-        space_b = _AssignmentSpace(B, variables)
-        space_a = _AssignmentSpace(A, variables)
-        if max(space_b.total, space_a.total) > DEFAULT_BUDGET:
+        if max(A.order, B.order) ** nvars > DEFAULT_BUDGET:
             break
-        words: list[Word] = []
-        for ell in range(0, 7):
-            words.extend(Word(t) for t in itertools.product(variables, repeat=ell))
-        buckets: dict[bytes, tuple[Word, bytes]] = {}
-        for word in words:
-            if len(word.content()) < nvars:
-                # only words using every one of x1..x_nvars are paired
-                continue
-            vb = space_b.values(word).tobytes()
-            va = space_a.values(word).tobytes()
-            if vb in buckets:
-                w0, va0 = buckets[vb]
-                if va0 != va:
-                    return Identity(w0, word)
-            else:
-                buckets[vb] = (word, va)
+        variables = [f"x{i + 1}" for i in range(nvars)]
+        cut = _separating_columns(b_factors + (A.factors or (A,)), nvars)
+        table, columns = cut.table, cut.columns
+        b_bytes = sum(cut.widths[: len(b_factors)]) * table.itemsize
+        buckets: dict[bytes, tuple[tuple[int, ...], bytes]] = {}
+        # only words using every one of x1..x_nvars are paired
+        for ell in range(nvars, 7):
+            prefixes = [cut.root] * (ell + 1)  # prefixes[i]: values of word[:i]
+            last: tuple[int, ...] = ()
+            for word in itertools.product(range(nvars), repeat=ell):
+                changed = next((i for i, (c, d) in enumerate(zip(word, last)) if c != d), 0)
+                for i in range(changed, ell):
+                    prefixes[i + 1] = table.take(columns[word[i]] + prefixes[i])
+                last = word
+                if len(set(word)) < nvars:
+                    continue
+                values = prefixes[ell].tobytes()
+                vb, va = values[:b_bytes], values[b_bytes:]
+                if vb in buckets:
+                    w0, va0 = buckets[vb]
+                    if va0 != va:
+                        return Identity(Word(variables[i] for i in w0),
+                                        Word(variables[i] for i in word))
+                else:
+                    buckets[vb] = (word, va)
     return None
+

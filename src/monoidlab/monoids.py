@@ -79,13 +79,18 @@ class FiniteMonoid:
 
     ``factor_words`` is set only by ``rees_quotient``: the words W whose
     factor quotient M(W) this is, which lets identities be decided by factor
-    embeddings (see ``equations``).  It is provenance, not structure: it is
-    no part of equality or hashing, and derived monoids do not carry it.
+    embeddings (see ``equations``).  ``factors`` is set only by
+    ``direct_product``: the leaf factors whose product this is, in order
+    (nested products flattened), so that element (a_1, ..., a_m) has the
+    mixed-radix index of (index(a_1), ..., index(a_m)) over the factors'
+    orders; ``equations.rel_free`` and ``member`` evaluate words factor by
+    factor on it.  Both are provenance, not structure: they are no part of
+    equality or hashing, and derived monoids do not carry them.
     """
 
-    __slots__ = ("name", "elements", "table", "identity", "factor_words", "_index")
+    __slots__ = ("name", "elements", "table", "identity", "factor_words", "factors", "_index")
 
-    def __init__(self, name, elements, table, identity=None, *, factor_words=None):
+    def __init__(self, name, elements, table, identity=None, *, factor_words=None, factors=None):
         elements = tuple(str(e) for e in elements)
         n = len(elements)
         if n == 0:
@@ -111,6 +116,7 @@ class FiniteMonoid:
         self.table = table
         self.identity = identity
         self.factor_words = None if factor_words is None else tuple(factor_words)
+        self.factors = None if factors is None else tuple(factors)
         self._index = {label: i for i, label in enumerate(elements)}
 
     # -- basics ------------------------------------------------------------
@@ -492,7 +498,9 @@ def adjoin_identity(M: FiniteMonoid) -> FiniteMonoid:
 
 def direct_product(A: FiniteMonoid, B: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product; labels are ``(a,b)``; row-major element order;
-    named ``(A x B)`` when both factors are named."""
+    named ``(A x B)`` when both factors are named.  The result's ``factors``
+    are A's leaf factors followed by B's (a monoid that is no product is its
+    own leaf)."""
     na, nb = A.order, B.order
     labels = [f"({a},{b})" for a in A.elements for b in B.elements]
     ia, ib = np.divmod(np.arange(na * nb), nb)
@@ -503,7 +511,8 @@ def direct_product(A: FiniteMonoid, B: FiniteMonoid) -> FiniteMonoid:
     if A.identity is not None and B.identity is not None:
         identity = A.identity * nb + B.identity
     name = f"({A.name} x {B.name})" if A.name and B.name else ""
-    return FiniteMonoid(name, labels, table, identity)
+    factors = (A.factors or (A,)) + (B.factors or (B,))
+    return FiniteMonoid(name, labels, table, identity, factors=factors)
 
 
 def generated_indices(M: FiniteMonoid, seeds) -> list[int]:

@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
+from monoidlab import deduction
 from monoidlab.deduction import (
     E1_BASIS,
     DerivationStep,
@@ -375,6 +376,36 @@ def test_one_sided_variables_ordered_by_name_not_position():
     step = _assert_same(parse_word("x"), parse_word("x y z"), rules)
     assert step.theta == {"x": EMPTY, "z": parse_word("y z"), "w": EMPTY}
     assert step.left == parse_word("x") and step.right == EMPTY
+
+
+def test_plain_rules_are_planned_as_they_are_reached(monkeypatch):
+    # A plain rule sequence is planned one direction at a time: a step by
+    # the first rule's forward direction plans nothing after it, a step by
+    # the second rule's backward direction plans the four directions up to
+    # it, and a failed search plans every direction once.
+    planned = []
+    plan = deduction._plan
+
+    def counting(p, q):
+        planned.append((p, q))
+        return plan(p, q)
+
+    monkeypatch.setattr(deduction, "_plan", counting)
+    rules = (COMMUTE, GROW) + E1_BASIS
+    u, v = parse_word("x y"), parse_word("y x")
+    assert _assert_same(u, v, rules).rule_index == 0
+    assert len(planned) == 1
+    planned.clear()
+    step = _assert_same(parse_word("x y"), parse_word("x"), rules)
+    assert (step.rule_index, step.forward) == (1, False)
+    assert len(planned) == 4
+    planned.clear()
+    assert _assert_same(parse_word("x^2"), parse_word("y^2"), rules) is None
+    assert len(planned) == 2 * len(rules)
+    # check_derivation plans each direction once for the whole chain.
+    planned.clear()
+    check_derivation([parse_word("x y z"), parse_word("y x z"), parse_word("y z x")], rules)
+    assert len(planned) == 2 * len(rules)
 
 
 def _assert_same_successors(u: Word, rules: Sequence[Identity]) -> int:

@@ -22,6 +22,7 @@ from monoidlab import equations
 from monoidlab.equations import (
     _anagrams,
     _AssignmentSpace,
+    _bounded_identity_search,
     _by_elimination,
     _by_scan,
     _exhaustive_bound,
@@ -644,6 +645,54 @@ def test_rel_free_matches_dense_oracle():
     assert rel_free(flip, 1).size == 3
 
 
+def test_rel_free_on_products_matches_dense_oracle():
+    # A direct product keeps each factor's assignments (its own zero cut),
+    # but every field must equal the dense BFS over the product's n^k,
+    # uncapped, capped and tracked: products with a proper zero in every
+    # factor (M(1) x M(1) keeps probes alone), in one (Z1's zero is its
+    # identity; Z2 has none) or in none, and a nested three-factor one.
+    default = 300_000
+    names = ("M(1)", "Z1", "L2^1", "R2^1", "M(x)", "Z2", "B0^1", "M(xy)", "Q^1", "S3")
+    products = [direct_product(catalog(a), catalog(b))
+                for a, b in itertools.combinations_with_replacement(names, 2)]
+    products.append(direct_product(
+        direct_product(catalog("L2^1"), catalog("M(x)")), catalog("R2^1")))
+    products.append(direct_product(
+        catalog("M(1)"), direct_product(catalog("Z2"), catalog("M(1)"))))
+    assert products[-2].factors == (catalog("L2^1"), catalog("M(x)"), catalog("R2^1"))
+    capped = 0
+    for P in products:
+        for k in range(4):
+            if P.order ** k > 2000:
+                continue
+            for cap in (default, 40, 7):
+                # S3's groups grow past the dense oracle's reach uncapped
+                if cap == default and "S3" in P.name and k > 1:
+                    continue
+                rf = rel_free(P, k, max_states=cap)
+                assert _rel_free_fields(rf) == _rel_free_fields(
+                    oracle_rel_free(P, k, max_states=cap)), (P.name, k, cap)
+                capped += not rf.complete
+    conflicts = 0
+    for a_name in ("L2^1", "R2^1", "B0^1", "Q^1", "M(xy)", "Z3"):
+        A = catalog(a_name)
+        gens = minimal_generating_set(A)
+        for P in products:
+            if P.order ** len(gens) > 2000 or "S3" in P.name:
+                continue
+            for cap in (default, 40):
+                rf = rel_free(P, len(gens), max_states=cap, track=A, track_images=gens)
+                assert _rel_free_fields(rf) == _rel_free_fields(oracle_rel_free(
+                    P, len(gens), max_states=cap, track=A, track_images=gens,
+                )), (a_name, P.name, cap)
+                conflicts += rf.conflict is not None
+    assert capped >= 20 and conflicts >= 20
+    # The caps still compare the product's own n^k.
+    P = direct_product(catalog("L2^1"), catalog("Q^1"))
+    with pytest.raises(RelFreeCapExceeded, match=r"18\^3 = 5832 > max_dim 5000"):
+        rel_free(P, 3, max_dim=5000)
+
+
 def test_rel_free_takes_256_elements():
     # element indices 0..255 fit the uint8 evaluation tuples
     rf = rel_free(catalog("Z256"), 1)
@@ -659,7 +708,9 @@ def test_rel_free_past_256_elements():
     assert member(catalog("Z3"), catalog("Z300")).kind == "member"
     v = member(catalog("Z7"), catalog("Z300"))
     assert (v.kind, str(v.witness)) == ("not_member", "1 = x1^300")
-    # 315 elements: x^3 is 0, so 1, x, x^2, x^3 (oracle_rel_free is uint8)
+    # 315 elements, but factor by factor: each factor's tuples are uint8,
+    # its own indices (Z300 above keeps the uint16 table covered).  x^3 is
+    # 0, so 1, x, x^2, x^3.
     M = direct_product(direct_product(catalog("M(xyxy)"), catalog("M(xyx)")), catalog("M(xy)"))
     rf = rel_free(M, 1)
     assert (rf.complete, rf.size) == (True, 4)
@@ -865,21 +916,74 @@ def test_member_state_cap_exits():
 def test_member_fallback_budget_exit(monkeypatch):
     # 216^2 > max_dim caps rel_free; the fallback search finds nothing on
     # 1 or 2 variables (Z2 x Z2 lies in Z216's variety) and stops before 3,
-    # whose 216^3 substitutions exceed the budget
+    # whose 216^3 substitutions exceed the budget.  The search evaluates
+    # through _separating_columns, so a search that ignored the budget
+    # would ask it for 3 variables over Z216.
     assert 216 ** 3 > DEFAULT_BUDGET
-    values = _AssignmentSpace.values
+    separating = equations._separating_columns
+    asked = []
 
-    def within_budget(space, word):
-        assert space.total <= DEFAULT_BUDGET, "evaluated a space over the budget"
-        return values(space, word)
+    def within_budget(factors, k):
+        assert max(f.order for f in factors) ** k <= DEFAULT_BUDGET, \
+            "evaluated a space over the budget"
+        asked.append(k)
+        return separating(factors, k)
 
-    monkeypatch.setattr(_AssignmentSpace, "values", within_budget)
+    monkeypatch.setattr(equations, "_separating_columns", within_budget)
     v = member(direct_product(catalog("Z2"), catalog("Z2")), catalog("Z216"))
     assert (v.kind, v.witness) == ("unknown", None)
     assert list(v.details.items()) == [
         ("generators", ["(e,a)", "(a,e)"]),
         ("relfree", "capped: evaluation tuples have dimension 216^2 = 46656 > max_dim 20000"),
     ]
+    assert asked == [1, 2]
+
+
+def oracle_bounded_identity_search(A, B):
+    """``_bounded_identity_search`` before it walked words by prefix and
+    factor by factor: every word evaluated from scratch over the whole
+    assignment spaces of A and B."""
+    for nvars in range(1, 4):
+        variables = [f"x{i+1}" for i in range(nvars)]
+        space_b = _AssignmentSpace(B, variables)
+        space_a = _AssignmentSpace(A, variables)
+        if max(space_b.total, space_a.total) > DEFAULT_BUDGET:
+            break
+        words: list[Word] = []
+        for ell in range(0, 7):
+            words.extend(Word(t) for t in itertools.product(variables, repeat=ell))
+        buckets: dict[bytes, tuple[Word, bytes]] = {}
+        for word in words:
+            if len(word.content()) < nvars:
+                # only words using every one of x1..x_nvars are paired
+                continue
+            vb = space_b.values(word).tobytes()
+            va = space_a.values(word).tobytes()
+            if vb in buckets:
+                w0, va0 = buckets[vb]
+                if va0 != va:
+                    return Identity(w0, word)
+            else:
+                buckets[vb] = (word, va)
+    return None
+
+
+def test_bounded_identity_search_matches_oracle():
+    # Every ordered pair of distinct generator monoids of Fig1-Fig3, the
+    # joins (two- and three-factor products) included.
+    monoids = {}
+    for fig in ("Fig1", "Fig2", "Fig3"):
+        for node in load_figure(fig).nodes:
+            if node.generators:
+                M = node.generator_monoid()
+                monoids[M.name] = M
+    assert sum(M.factors is not None for M in monoids.values()) >= 6
+    witnesses = 0
+    for A, B in itertools.permutations(monoids.values(), 2):
+        found = _bounded_identity_search(A, B)
+        assert found == oracle_bounded_identity_search(A, B), (A.name, B.name)
+        witnesses += found is not None
+    assert witnesses >= 150
 
 
 def test_member_reverse_direction():

@@ -297,6 +297,31 @@ def test_factor_words_only_on_rees_quotients():
     assert plain == M and hash(plain) == hash(M)
 
 
+def test_factors_only_on_direct_products():
+    L, Mx, R = catalog("L2^1"), catalog("M(x)"), catalog("R2^1")
+    assert L.factors is None
+    P = direct_product(L, Mx)
+    assert P.factors == (L, Mx) and P.factors[1] is Mx
+    # Nested products flatten to their leaves, whichever side nests.
+    assert direct_product(P, R).factors == (L, Mx, R)
+    assert direct_product(R, P).factors == (R, L, Mx)
+    assert direct_product(P, P).factors == (L, Mx, L, Mx)
+    # The leaves index the product's elements in mixed radix.
+    T = direct_product(P, R)
+    assert T.elements[(2 * Mx.order + 1) * R.order + 2] == \
+        f"(({L.elements[2]},{Mx.elements[1]}),{R.elements[2]})"
+    derived = (
+        adjoin_identity(P),
+        P.opposite(),
+        submonoid(P, ["(a,x)"]),
+        monoid_from_json_dict(monoid_to_json_dict(P)),
+    )
+    assert all(D.factors is None for D in derived)
+    # Provenance only: equality and hashing ignore it.
+    plain = monoid_from_json_dict(monoid_to_json_dict(P))
+    assert plain == P and hash(plain) == hash(P)
+
+
 def test_parse_monoid_text_errors():
     with pytest.raises(PresentationError):
         parse_monoid_text("monoid X\nelements a\nidentity a\n")
