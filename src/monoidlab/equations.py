@@ -530,28 +530,30 @@ def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
     the values of u·x_j, factor-local like the root's, are one gather,
     ``table[columns[j] + values(u)]``.
     """
-    dtype = np.min_scalar_type(max(f.order for f in factors) - 1)
-    tables, blocks, roots = [], [], []
+    tables, blocks = [], []
     offset = 0
     for f in factors:
         # Keyed by position, so a repeated variable name in a caller keeps
         # a column of its own.
         space = _AssignmentSpace(f, range(k))
         n, e, z = f.order, space.identity, f.zero_index()
-        cols = np.array(list(space.columns.values()), dtype=np.int32).reshape(k, space.total)
+        cols = np.array(list(space.columns.values()), dtype=np.intp).reshape(k, space.total)
         if z is not None and z != e:
-            probes = np.full((k, k), e * n, dtype=np.int32)
+            probes = np.full((k, k), e * n, dtype=np.intp)
             np.fill_diagonal(probes, z * n)
-            cols = np.hstack([cols[:, (cols != z * n).all(axis=0)], probes])
+            cols = np.concatenate([cols[:, (cols != z * n).all(axis=0)], probes], axis=1)
+        cols += offset
         tables.append(space.by_column)
-        blocks.append(cols + offset)
-        roots.append(np.full(cols.shape[1], e, dtype=dtype))
+        blocks.append(cols)
         offset += n * n
+    # Concatenation promotes every table to the largest factor's dtype.
+    table = np.concatenate(tables)
+    widths = [cols.shape[1] for cols in blocks]
     return _Separating(
-        table=np.concatenate(tables).astype(dtype, copy=False),
-        columns=list(np.hstack(blocks).astype(np.intp)),
-        root=np.concatenate(roots),
-        widths=[len(r) for r in roots],
+        table=table,
+        columns=list(np.concatenate(blocks, axis=1)),
+        root=np.repeat(np.array([f.identity for f in factors], dtype=table.dtype), widths),
+        widths=widths,
     )
 
 
