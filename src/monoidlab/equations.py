@@ -55,6 +55,21 @@ n_2^k assignments, not (n_1·n_2)^k.  The kernel bounds nothing: each
 verdict checks its space's size n^k, over the whole monoid, against its
 own budget.
 
+What the kernel reads of a monoid is computed once per instance and kept
+in that monoid's memo (``FiniteMonoid._cached``): the column-major table,
+the zero index, the minimal generating set, and per k the position rows
+that every space over k variables binds its variables to and each
+factor's unshifted zero-cut block.  The instance owns the memo, so it
+lives as long as the instance and is never invalidated (instances are
+immutable).  No module-level cache or ``id()`` key stands in for it:
+``==`` ignores ``factors``, and an ``id()`` is reused once an instance
+is collected.  The per-k entries are kept only while n^k <= ``MAX_DIM``,
+so each is bounded; a larger space builds its columns afresh.  Every
+memoized array is read-only, because a ``member`` or ``isoterm`` witness
+is re-checked by ``satisfies`` on the same memo, where a corrupted entry
+would pass its own re-check.  A product keeps its factors' entries on
+the factors, and shifts and concatenates their blocks on each call.
+
 A *relatively free monoid* over a base monoid M on k generators is computed
 as the monoid of evaluation maps: a word w in k variables is identified with
 the tuple of its values under all n^k assignments, and the reachable tuples
@@ -157,7 +172,8 @@ class _AssignmentSpace:
     index) held constant.  Every product gathers through ``by_column``, the
     table flattened column-major (entry s·n + a is a·s), at the index
     ``columns[c] + a``: a letter's column holds its element index times n,
-    so the values of u·c are one gather from those of u.  No budget is
+    so the values of u·c are one gather from those of u.  Both are read
+    from M's memo, so a space is cheap to make again.  No budget is
     checked here: callers compare ``total`` (n^k, known before anything is
     allocated) with theirs.
     """
@@ -179,24 +195,24 @@ class _AssignmentSpace:
         every assignment, a fixed letter's once.
 
         Built on first use, so a space that only checks the budget and
-        decides by factor keys never allocates the n^k columns.  A fixed
-        letter's column is a one-element array, not a scalar: added to a
-        uint8 or uint16 accumulator, a Python int (or, under NumPy 1.x, any
-        scalar that fits) keeps the accumulator's dtype and wraps.
+        decides by factor keys never allocates the n^k columns.  The
+        variables are bound, in order, to the k position rows of
+        ``_positions``, which M's memo keeps read-only while n^k <=
+        ``MAX_DIM``; so a space over the same M and k allocates nothing
+        new.  A fixed letter's column is a one-element array, not a
+        scalar: added to a uint8 or uint16 accumulator, a Python int (or,
+        under NumPy 1.x, any scalar that fits) keeps the accumulator's
+        dtype and wraps.
         """
         n = self.M.order
-        # reshape(k, -1) would fail for k = 0, where the space is the one
-        # empty assignment.
-        rows = np.indices(self.shape, dtype=np.int32).reshape(len(self.shape), self.total) * n
+        rows = _positions(self.M, len(self.variables))
         fixed = {c: np.array([v * n], dtype=np.int32) for c, v in self.fixed.items()}
         return {**dict(zip(self.variables, rows)), **fixed}
 
-    @functools.cached_property
+    @property
     def by_column(self) -> np.ndarray:
-        """The table flattened column-major, in the least unsigned dtype that
-        holds an element index: entry s·n + a is a·s."""
-        dtype = np.min_scalar_type(self.M.order - 1)
-        return np.ascontiguousarray(self.M.table.T, dtype=dtype).reshape(-1)
+        """M's table flattened column-major (``_by_column``), from M's memo."""
+        return _by_column(self.M)
 
     def same_as(self, w: Word) -> Callable[[Word], bool]:
         """A test of whether M satisfies w = cand, for words cand over the
@@ -245,6 +261,32 @@ class _AssignmentSpace:
         """The assignment at ``index``, as variable -> element label."""
         digits = np.unravel_index(index, self.shape)
         return {v: self.M.elements[int(d)] for v, d in zip(self.variables, digits)}
+
+
+def _by_column(M: FiniteMonoid) -> np.ndarray:
+    """M's table flattened column-major, in the least unsigned dtype that
+    holds an element index: entry s·n + a is a·s.  Kept in M's memo."""
+
+    def build():
+        dtype = np.min_scalar_type(M.order - 1)
+        return np.ascontiguousarray(M.table.T, dtype=dtype).reshape(-1)
+
+    return M._cached("by_column", build)
+
+
+def _positions(M: FiniteMonoid, k: int) -> np.ndarray:
+    """The (k, n^k) int32 array whose row i holds, for every assignment of
+    k variables in mixed-radix order, the element index of variable i
+    times n.  Kept read-only in M's memo when n^k <= ``MAX_DIM``, built
+    afresh above it, so the memo's size is bounded per k."""
+    n = M.order
+
+    def build():
+        # reshape(k, -1) would fail for k = 0, where the space is the one
+        # empty assignment.
+        return np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k) * n
+
+    return build() if n ** k > MAX_DIM else M._cached(("positions", k), build)
 
 
 def _check_budget(space: _AssignmentSpace, budget: int) -> None:
@@ -523,38 +565,52 @@ def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
     monoid's zero is its identity) it keeps all n_f^k.
 
     Every block gathers through one table: the factors' column-major
-    tables (``_AssignmentSpace.by_column``) concatenated, f's block offset
-    by the earlier factors' n_g^2, in the least unsigned dtype that holds
-    an element index of the largest factor.  A variable's column holds,
-    per kept assignment, the element index times n_f plus f's offset, so
-    the values of u·x_j, factor-local like the root's, are one gather,
+    tables (``_by_column``) concatenated, f's block offset by the earlier
+    factors' n_g^2, in the least unsigned dtype that holds an element
+    index of the largest factor.  A variable's column holds, per kept
+    assignment, the element index times n_f plus f's offset, so the
+    values of u·x_j, factor-local like the root's, are one gather,
     ``table[columns[j] + values(u)]``.
+
+    Each factor's table and unshifted block (``_zero_cut``) come from its
+    own memo, so a monoid that is no product gets its columns and table
+    as they are kept, read-only; only a product shifts and concatenates
+    its factors' blocks and tables on every call.
     """
-    tables, blocks = [], []
-    offset = 0
-    for f in factors:
-        # Keyed by position, so a repeated variable name in a caller keeps
-        # a column of its own.
-        space = _AssignmentSpace(f, range(k))
-        n, e, z = f.order, space.identity, f.zero_index()
-        cols = np.array(list(space.columns.values()), dtype=np.intp).reshape(k, space.total)
+    blocks = [_zero_cut(f, k) for f in factors]
+    widths = [block.shape[1] for block in blocks]
+    if len(factors) == 1:
+        table, columns = _by_column(factors[0]), blocks[0]
+    else:
+        # Concatenation promotes every table to the largest factor's dtype.
+        table = np.concatenate([_by_column(f) for f in factors])
+        offsets = itertools.accumulate((f.order ** 2 for f in factors[:-1]), initial=0)
+        columns = np.concatenate([block + offset for block, offset in zip(blocks, offsets)], axis=1)
+    return _Separating(
+        table=table,
+        columns=list(columns),
+        root=np.repeat(np.array([f.identity for f in factors], dtype=table.dtype), widths),
+        widths=widths,
+    )
+
+
+def _zero_cut(f: FiniteMonoid, k: int) -> np.ndarray:
+    """Factor f's block of ``_separating_columns`` before any offset: per
+    variable, the element index times n_f on each kept assignment, as
+    native ints (a gather through int32 indices costs measurably more).
+    Kept read-only in f's memo when n_f^k <= ``MAX_DIM``; its width is at
+    most n_f^k."""
+
+    def build():
+        n, e, z = f.order, f.require_identity(), f.zero_index()
+        cols = _positions(f, k).astype(np.intp)
         if z is not None and z != e:
             probes = np.full((k, k), e * n, dtype=np.intp)
             np.fill_diagonal(probes, z * n)
             cols = np.concatenate([cols[:, (cols != z * n).all(axis=0)], probes], axis=1)
-        cols += offset
-        tables.append(space.by_column)
-        blocks.append(cols)
-        offset += n * n
-    # Concatenation promotes every table to the largest factor's dtype.
-    table = np.concatenate(tables)
-    widths = [cols.shape[1] for cols in blocks]
-    return _Separating(
-        table=table,
-        columns=list(np.concatenate(blocks, axis=1)),
-        root=np.repeat(np.array([f.identity for f in factors], dtype=table.dtype), widths),
-        widths=widths,
-    )
+        return cols
+
+    return build() if f.order ** k > MAX_DIM else f._cached(("zero_cut", k), build)
 
 
 def rel_free(
@@ -1035,8 +1091,14 @@ def minimal_generating_set(M: FiniteMonoid) -> tuple[str, ...]:
     its first letter), so every generating set contains every required
     element.  Among equal-size sets that contain them, index order is
     decided by the least differing element, an addition, so trying the
-    additions in combination order finds the same set.
+    additions in combination order finds the same set.  The search runs
+    once per instance; M's memo keeps its result.
     """
+    return M._cached("minimal_generating_set", lambda: _minimal_generating_set(M))
+
+
+def _minimal_generating_set(M: FiniteMonoid) -> tuple[str, ...]:
+    """The search behind ``minimal_generating_set``, run on every call."""
     e = M.require_identity()
     n = M.order
     # One pass over the table: a cell (b, c) makes its value a product of

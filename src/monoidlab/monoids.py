@@ -86,9 +86,22 @@ class FiniteMonoid:
     orders; ``equations.rel_free`` and ``member`` evaluate words factor by
     factor on it.  Both are provenance, not structure: they are no part of
     equality or hashing, and derived monoids do not carry them.
+
+    ``_memo`` holds what is computed from the instance alone, on first use
+    (``_cached``): the zero index, the minimal generating set, and the
+    evaluation kernel's data (see ``equations``): the column-major table,
+    and per k the assignment columns and the zero-cut block, both kept
+    only while n^k <= ``equations.MAX_DIM``.  Its owner is
+    the instance and its lifetime the instance's: it starts empty, no
+    derived monoid copies it, and it is no part of equality or hashing (two
+    equal monoids may differ in ``factors``, and so in what ``equations``
+    computes for them).  Instances are immutable, so nothing in it is ever
+    invalidated; every array in it is read-only.
     """
 
-    __slots__ = ("name", "elements", "table", "identity", "factor_words", "factors", "_index")
+    __slots__ = (
+        "name", "elements", "table", "identity", "factor_words", "factors", "_index", "_memo",
+    )
 
     def __init__(self, name, elements, table, identity=None, *, factor_words=None, factors=None):
         elements = tuple(str(e) for e in elements)
@@ -118,6 +131,20 @@ class FiniteMonoid:
         self.factor_words = None if factor_words is None else tuple(factor_words)
         self.factors = None if factors is None else tuple(factors)
         self._index = {label: i for i, label in enumerate(elements)}
+        self._memo: dict = {}
+
+    def _cached(self, key, build):
+        """The value of ``build()``, computed on the first call with ``key``
+        and kept in ``_memo``; an array is stored read-only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        self._memo[key] = value
+        return value
 
     # -- basics ------------------------------------------------------------
 
@@ -164,11 +191,12 @@ class FiniteMonoid:
 
     def zero_index(self) -> int | None:
         """Index of the absorbing element, or None."""
-        n = self.order
-        for z in range(n):
-            if all(self.table[z, j] == z and self.table[j, z] == z for j in range(n)):
-                return z
-        return None
+        return self._cached("zero_index", self._find_zero)
+
+    def _find_zero(self) -> int | None:
+        idx = np.arange(self.order)
+        absorbing = (self.table == idx[:, None]).all(axis=1) & (self.table == idx).all(axis=0)
+        return int(np.argmax(absorbing)) if absorbing.any() else None
 
     def index_and_period(self, i: int) -> tuple[int, int]:
         """(index, period) of the cyclic subsemigroup generated by element i."""

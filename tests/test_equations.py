@@ -32,7 +32,9 @@ from monoidlab.equations import (
     _linear_split,
     _perturbations,
     _second_word_in_class,
+    _separating_columns,
     DEFAULT_BUDGET,
+    MAX_DIM,
     BudgetExceededError,
     IsotermBudget,
     RelFree,
@@ -645,13 +647,10 @@ def test_rel_free_matches_dense_oracle():
     assert rel_free(flip, 1).size == 3
 
 
-def test_rel_free_on_products_matches_dense_oracle():
-    # A direct product keeps each factor's assignments (its own zero cut),
-    # but every field must equal the dense BFS over the product's n^k,
-    # uncapped, capped and tracked: products with a proper zero in every
-    # factor (M(1) x M(1) keeps probes alone), in one (Z1's zero is its
-    # identity; Z2 has none) or in none, and a nested three-factor one.
-    default = 300_000
+def _relfree_products():
+    """Direct products with a proper zero in every factor (M(1) x M(1)
+    keeps probes alone), in one (Z1's zero is its identity; Z2 has none)
+    or in none, and two nested three-factor ones."""
     names = ("M(1)", "Z1", "L2^1", "R2^1", "M(x)", "Z2", "B0^1", "M(xy)", "Q^1", "S3")
     products = [direct_product(catalog(a), catalog(b))
                 for a, b in itertools.combinations_with_replacement(names, 2)]
@@ -659,6 +658,15 @@ def test_rel_free_on_products_matches_dense_oracle():
         direct_product(catalog("L2^1"), catalog("M(x)")), catalog("R2^1")))
     products.append(direct_product(
         catalog("M(1)"), direct_product(catalog("Z2"), catalog("M(1)"))))
+    return products
+
+
+def test_rel_free_on_products_matches_dense_oracle():
+    # A direct product keeps each factor's assignments (its own zero cut),
+    # but every field must equal the dense BFS over the product's n^k,
+    # uncapped, capped and tracked, on each of _relfree_products.
+    default = 300_000
+    products = _relfree_products()
     assert products[-2].factors == (catalog("L2^1"), catalog("M(x)"), catalog("R2^1"))
     capped = 0
     for P in products:
@@ -691,6 +699,123 @@ def test_rel_free_on_products_matches_dense_oracle():
     P = direct_product(catalog("L2^1"), catalog("Q^1"))
     with pytest.raises(RelFreeCapExceeded, match=r"18\^3 = 5832 > max_dim 5000"):
         rel_free(P, 3, max_dim=5000)
+
+
+def _cold(M):
+    """M rebuilt with an empty memo: a fresh instance of the same table and
+    provenance, whose factors are rebuilt the same way."""
+    factors = None if M.factors is None else tuple(_cold(f) for f in M.factors)
+    return FiniteMonoid(M.name, M.elements, M.table.copy(), M.identity,
+                        factor_words=M.factor_words, factors=factors)
+
+
+def oracle_separating_columns(factors, k):
+    """``_separating_columns`` before each monoid kept its kernel data:
+    every factor's zero, columns and column-major table built afresh on
+    every call, shifted and concatenated even for one factor.  Returns
+    (table, columns, root, widths)."""
+    tables, blocks, offset = [], [], 0
+    for f in factors:
+        n, e = f.order, f.require_identity()
+        z = next((z for z in range(n) if (f.table[z] == z).all() and (f.table[:, z] == z).all()),
+                 None)
+        cols = np.indices((n,) * k, dtype=np.intp).reshape(k, n ** k) * n
+        if z is not None and z != e:
+            probes = np.full((k, k), e * n, dtype=np.intp)
+            np.fill_diagonal(probes, z * n)
+            cols = np.concatenate([cols[:, (cols != z * n).all(axis=0)], probes], axis=1)
+        tables.append(np.ascontiguousarray(f.table.T, dtype=np.min_scalar_type(n - 1)).reshape(-1))
+        blocks.append(cols + offset)
+        offset += n * n
+    table = np.concatenate(tables)
+    widths = [cols.shape[1] for cols in blocks]
+    root = np.repeat(np.array([f.identity for f in factors], dtype=table.dtype), widths)
+    return table, np.concatenate(blocks, axis=1), root, widths
+
+
+def _separating_fields(cut):
+    return (cut.table.dtype, cut.table.tolist(), [c.tolist() for c in cut.columns],
+            cut.root.dtype, cut.root.tolist(), cut.widths)
+
+
+def test_memoized_kernel_data_matches_cold_rebuilds():
+    # Each monoid keeps its kernel data in its memo.  A warmed instance,
+    # whose memo is full, must answer every query exactly as a cold
+    # rebuild with an empty memo does, and the separating columns read
+    # from the memo must be the uncached oracle's.
+    idents = [parse_identity(text) for text in (
+        "x y x = y x y", "x^2 y^2 = y^2 x^2", "x y z x = x z y x",
+        "a b x y c = a b y x c",  # three linear letters: elimination
+    )]
+    words = [parse_word(text) for text in ("x y x", "x^2 y", "x y y x")]
+    names = ("L2^1", "Q^1", "M(xy)", "Z3")
+
+    def answers(M, others):
+        out = []
+        for k in range(4):
+            if M.order ** k <= 1000:
+                out.append(_rel_free_fields(rel_free(M, k, max_states=2000)))
+                out.append(_separating_fields(_separating_columns(M.factors or (M,), k)))
+        for A in others:
+            gens = minimal_generating_set(A)
+            if M.order ** len(gens) <= 1000:
+                out.append(_rel_free_fields(rel_free(M, len(gens), track=A, track_images=gens)))
+        for ident in idents:
+            if M.order ** len(ident.variables()) <= 100_000:
+                r = satisfies(M, ident)
+                out.append((r.holds, r.witness, r.lhs_value, r.rhs_value, r.checked))
+        for w in words:
+            v = isoterm(M, w, budget=IsotermBudget(max_states=2000))
+            out.append((v.kind, v.witness, v.bound, v.details))
+        # S3's products make the generator search and member slow.
+        if "S3" not in M.name:
+            out.append(minimal_generating_set(M))
+            for A in others:
+                for v in (member(A, M), member(M, A)):
+                    out.append((v.kind, v.witness, v.details))
+        out.append(M.zero_index())
+        return out
+
+    monoids = [catalog(name) for name in RELFREE_MONOIDS] + _relfree_products()
+    warm_others = [catalog(name) for name in names]
+    verdicts = collections.Counter()
+    for M in monoids:
+        first = answers(M, warm_others)
+        for f in M.factors or (M,):
+            assert ("zero_cut", 1) in f._memo, (M.name, f.name)
+        cold = _cold(M)
+        assert cold == M and cold._memo == {}
+        assert answers(M, warm_others) == first == answers(cold, [_cold(A) for A in warm_others]), \
+            M.name
+        for k in range(4):
+            if M.order ** k <= 1000:
+                table, columns, root, widths = oracle_separating_columns(M.factors or (M,), k)
+                assert _separating_fields(_separating_columns(M.factors or (M,), k)) == (
+                    table.dtype, table.tolist(), columns.tolist(), root.dtype, root.tolist(),
+                    widths), (M.name, k)
+        verdicts.update(entry[0] for entry in first if isinstance(entry, tuple) and entry)
+    assert min(verdicts[kind] for kind in (
+        "member", "not_member", "not_isoterm", "certified", "bounded_only")) >= 5, verdicts
+
+
+def test_memo_keeps_no_array_over_max_dim():
+    # Per-k kernel data is kept only while n^k <= MAX_DIM.  sigma(5) has 7
+    # variables (6^7 assignments over E^1) and is decided by eliminating
+    # its linear letters over at most 3 others; the second identity has no
+    # linear letter, so it is scanned over all 6^6 > MAX_DIM assignments.
+    E1 = catalog("E^1")
+    assert not satisfies(E1, sigma(5)).holds
+    scanned = satisfies(E1, parse_identity("x y z t u v x y z t u v = y x z t u v x y z t u v"))
+    assert scanned.checked == 6 ** 6 > MAX_DIM
+    arrays = [a for a in E1._memo.values() if isinstance(a, np.ndarray)]
+    assert arrays and max(a.shape[-1] for a in arrays) <= MAX_DIM
+    assert not {("positions", 6), ("positions", 7)} & E1._memo.keys()
+    # Under the bound the block is kept: B0^1 on 4 generators keeps the
+    # 4^4 zero-free assignments and 4 probes of its 5^4.
+    B0 = catalog("B0^1")
+    rel_free(B0, 4)
+    assert B0._memo[("zero_cut", 4)].shape == (4, 4 ** 4 + 4)
+    assert B0._memo[("positions", 4)].shape == (4, 5 ** 4)
 
 
 def test_rel_free_takes_256_elements():

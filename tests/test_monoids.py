@@ -13,6 +13,14 @@ import re
 import numpy as np
 import pytest
 
+from monoidlab.equations import (
+    _separating_columns,
+    isoterm,
+    member,
+    minimal_generating_set,
+    rel_free,
+    satisfies,
+)
 from monoidlab.monoids import (
     ClosureBoundExceeded,
     FiniteMonoid,
@@ -32,7 +40,7 @@ from monoidlab.monoids import (
     submonoid,
     validate,
 )
-from monoidlab.words import parse_word
+from monoidlab.words import parse_identity, parse_word
 
 EXPECTED_ORDERS = {
     "N2": 2, "N6": 6, "B2": 5, "B0": 4, "A0": 4, "A2": 5,
@@ -320,6 +328,65 @@ def test_factors_only_on_direct_products():
     # Provenance only: equality and hashing ignore it.
     plain = monoid_from_json_dict(monoid_to_json_dict(P))
     assert plain == P and hash(plain) == hash(P)
+
+
+def _warm(M):
+    """Fill M's memo through the queries that read it."""
+    for k in range(4):
+        rel_free(M, k)
+    satisfies(M, parse_identity("a b x y c = a b y x c"))  # by elimination
+    isoterm(M, parse_word("x y x"))
+    member(catalog("L2^1"), M)
+    member(M, catalog("L2^1"))
+    return M
+
+
+def test_derived_monoids_start_with_an_empty_memo():
+    M = _warm(catalog("M(xyx)"))
+    assert {"zero_index", "minimal_generating_set", "by_column",
+            ("positions", 3), ("zero_cut", 3)} <= M._memo.keys()
+    for derived in (M.opposite(), submonoid(M, ["x"]), adjoin_identity(M),
+                    direct_product(M, M), rees_quotient(M.factor_words)):
+        assert derived._memo == {}, derived.name
+    assert rees_quotient(M.factor_words) == M
+
+
+def test_product_and_its_flat_copy_keep_their_own_columns():
+    # A product and a copy of its table without ``factors`` are equal, but
+    # their separating columns differ (L2^1 has no zero, so the flat copy
+    # keeps all 18^k assignments); each must read its own, whichever is
+    # asked first, and both must give the same relatively free monoid.
+    P = direct_product(catalog("L2^1"), catalog("Q^1"))
+    flat = FiniteMonoid(P.name, P.elements, P.table, P.identity)
+    assert flat == P and hash(flat) == hash(P) and flat.factors is None
+    for k in (1, 2, 3):
+        fields = []
+        for M in (P, flat, P, flat):
+            rf = rel_free(M, k)
+            fields.append((rf.size, rf.transitions.tolist(), rf.parent.tolist(),
+                           rf.parent_letter.tolist()))
+        assert fields.count(fields[0]) == 4, k
+        assert _separating_columns(P.factors, k).widths == [3 ** k, 5 ** k + k]
+        assert _separating_columns((flat,), k).widths == [18 ** k]
+        assert flat._memo[("zero_cut", k)].shape == (k, 18 ** k)
+        assert ("zero_cut", k) not in P._memo
+    assert minimal_generating_set(P) == minimal_generating_set(flat)
+
+
+def test_memoized_arrays_are_read_only():
+    # member's satisfies re-check reads the same memo as the search it
+    # checks, so a memoized array written through would pass its own check.
+    monoids = [_warm(catalog(name)) for name in ("Q^1", "M(xyx)", "Z3")]
+    monoids.append(_warm(direct_product(catalog("L2^1"), catalog("Q^1"))))
+    arrays = [a for M in monoids for a in M._memo.values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 20
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    for row in _separating_columns((catalog("Q^1"),), 2).columns:
+        with pytest.raises(ValueError, match="read-only"):
+            row += 1
 
 
 def test_parse_monoid_text_errors():

@@ -1,6 +1,6 @@
 """Checks on the package source: no assert statements, Python 3.10 grammar,
-no import cycle between its modules, and the acceptance criteria met under
-``python -O``."""
+no import cycle between its modules, one owner for per-monoid data, and the
+acceptance criteria met under ``python -O``."""
 
 from __future__ import annotations
 
@@ -79,6 +79,37 @@ def test_package_imports_form_no_cycle():
     while leaves := {m for m, deps in graph.items() if not deps}:
         graph = {m: deps - leaves for m, deps in graph.items() if m not in leaves}
     assert graph == {}
+
+
+def test_per_monoid_data_has_one_owner():
+    # Data computed from a monoid lives in that instance's memo
+    # (``FiniteMonoid._cached``).  A function-level cache would key it by
+    # ``==``, which ignores ``factors`` and ``factor_words``, and ``id()``
+    # is reused once an instance is collected; so the package may use
+    # neither, except the catalog's cache of the instances themselves.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == (
+                    "monoids", "_catalog_cached"):
+                allowed.update(ast.walk(node.decorator_list[0]))
+        for node in ast.walk(tree):
+            if node in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                name = ",".join(a.name for a in node.names if a.name in ("lru_cache", "cache"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "id":
+                name = "id("
+            else:
+                continue
+            if name:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_acceptance_criteria_pass_under_optimized_interpreter():
