@@ -98,7 +98,8 @@ def test_per_monoid_data_has_one_owner():
         for node in ast.walk(tree):
             if node in allowed:
                 continue
-            if isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools" and node.attr in ("lru_cache", "cache"):
                 name = node.attr
             elif isinstance(node, ast.ImportFrom) and node.module == "functools":
                 name = ",".join(a.name for a in node.names if a.name in ("lru_cache", "cache"))
