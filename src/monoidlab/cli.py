@@ -202,8 +202,10 @@ def monoid_adjoin1(target: str, as_json: bool) -> None:
 def check_cmd(target: str, identity: str, as_json: bool) -> None:
     """Decide whether the monoid satisfies "u = v".
 
-    A factor-word quotient M(W) is decided by factor embeddings, any other
-    monoid by exhaustive substitution; both within the substitution budget.
+    A factor-word quotient M(W) is decided by factor embeddings, an
+    identity with at least three linear letters (once in each side, inside
+    the longest common prefix or suffix) by eliminating them, and any other
+    by exhaustive substitution; all within the substitution budget.
     Exit 0 if it holds, 1 with the first refuting substitution if not, or
     when the n^k substitutions exceed the budget (undecided).
     """

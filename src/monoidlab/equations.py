@@ -43,17 +43,23 @@ flattened column-major (uint8 up to 256 elements, uint16 above), and each
 letter's column of element indices scaled by n once, built on first use.
 Multiplying every value by a letter on the right is then one gather,
 ``table[column + values]``, and a value set takes one scatter per letter;
-the kernel also decodes a witness index.  ``satisfies`` and the isoterm
-scans run on it; the isoterm falsifier phases over M(W) compare factor
-keys and never scan.  ``rel_free`` and the bounded identity search of
-``member`` run on ``_separating_columns``, built from the kernel's
-columns and tables of each factor of a direct product (a monoid that is
-no product is one factor): each factor keeps its own assignments, cut
-down at its proper zero, and all of them gather through one concatenated
-table, so a product of n_1 and n_2 elements costs tuples over n_1^k +
-n_2^k assignments, not (n_1·n_2)^k.  The kernel bounds nothing: each
-verdict checks its space's size n^k, over the whole monoid, against its
-own budget.
+the kernel also decodes a witness index.  The scan and elimination of
+``satisfies`` run on the whole space, because their witness is the first
+failing assignment of all n^k.  Every other comparison of words runs on
+``_separating_columns``, built from the kernel's columns and tables of
+each factor of a direct product (a monoid that is no product is one
+factor): each factor keeps its own assignments, cut down at its proper
+zero, and all of them gather through one concatenated table, so a product
+of n_1 and n_2 elements costs tuples over n_1^k + n_2^k assignments, not
+(n_1·n_2)^k.  ``rel_free`` builds its states on it, and a stream of words
+goes through one ``_Walk``, which keeps the values of the last word's
+prefixes, so each word re-gathers only from its first letter that differs
+from the word before it.  The two streams are the isoterm falsifier's
+candidates, tested by ``_AssignmentSpace.same_as`` in all three phases,
+and the words of ``member``'s bounded identity search.  Over M(W) the
+falsifier compares factor keys instead and never gathers.  The kernel
+bounds nothing: each verdict checks its space's size n^k, over the whole
+monoid, against its own budget.
 
 What the kernel reads of a monoid is computed once per instance and kept
 in that monoid's memo (``FiniteMonoid._cached``): the column-major table,
@@ -169,13 +175,15 @@ class _AssignmentSpace:
     order: the first variable most significant, elements in table order.
 
     Words are evaluated with the letters of ``fixed`` (letter -> element
-    index) held constant.  Every product gathers through ``by_column``, the
-    table flattened column-major (entry s·n + a is a·s), at the index
+    index) held constant.  Every product gathers through ``_by_column``,
+    M's table flattened column-major (entry s·n + a is a·s), at the index
     ``columns[c] + a``: a letter's column holds its element index times n,
     so the values of u·c are one gather from those of u.  Both are read
-    from M's memo, so a space is cheap to make again.  No budget is
-    checked here: callers compare ``total`` (n^k, known before anything is
-    allocated) with theirs.
+    from M's memo, so a space is cheap to make again.  ``values`` and
+    ``value_sets`` cover all n^k assignments, for ``satisfies``' scan and
+    elimination; ``same_as`` compares words on the separating columns
+    instead.  No budget is checked here: callers compare ``total`` (n^k,
+    known before anything is allocated) with theirs.
     """
 
     def __init__(
@@ -209,25 +217,25 @@ class _AssignmentSpace:
         fixed = {c: np.array([v * n], dtype=np.int32) for c, v in self.fixed.items()}
         return {**dict(zip(self.variables, rows)), **fixed}
 
-    @property
-    def by_column(self) -> np.ndarray:
-        """M's table flattened column-major (``_by_column``), from M's memo."""
-        return _by_column(self.M)
-
     def same_as(self, w: Word) -> Callable[[Word], bool]:
         """A test of whether M satisfies w = cand, for words cand over the
         space's variables: by factor keys when M is a word-factor quotient,
-        otherwise by value vectors over the whole space."""
+        otherwise by values on ``_separating_columns`` over M's factors,
+        which tell two words apart exactly when the whole space does.  Every
+        candidate goes through one ``_Walk``, so it re-gathers only from its
+        first letter that differs from the candidate tested before it."""
         texts = _factor_texts(self.M)
         if texts is not None:
             w_key = _factor_key(texts, w)
             return lambda cand: _has_factor_key(texts, cand, w_key)
-        w_values = self.values(w)
-        return lambda cand: np.array_equal(self.values(cand), w_values)
+        cut = _separating_columns(self.M.factors or (self.M,), len(self.variables))
+        walk = _Walk(cut, self.variables)
+        w_values = walk.values(w.letters)
+        return lambda cand: np.array_equal(walk.values(cand.letters), w_values)
 
     def values(self, word: Word) -> np.ndarray:
         """The value of ``word`` under every assignment, in order."""
-        by_column, columns = self.by_column, self.columns
+        by_column, columns = _by_column(self.M), self.columns
         acc = np.full(self.total, self.identity, dtype=by_column.dtype)
         for c in word.letters:
             acc = by_column.take(columns[c] + acc)
@@ -236,7 +244,7 @@ class _AssignmentSpace:
     def value_sets(self, word: Word, linear: frozenset[str]) -> np.ndarray:
         """Row r is the set of values ``word`` takes under assignment r and
         every choice in M of its ``linear`` letters, as an n-wide mask."""
-        n = self.M.order
+        n, by_column = self.M.order, _by_column(self.M)
         sets = np.zeros((self.total, n), dtype=bool)
         sets[:, self.identity] = True
         rows = np.arange(0, self.total * n, n)[:, None]
@@ -245,7 +253,7 @@ class _AssignmentSpace:
                 sets = sets @ self.right_ideals
             else:
                 hit = np.zeros(self.total * n, dtype=bool)
-                hit[(rows + self.by_column[np.add.outer(self.columns[c], np.arange(n))])[sets]] = True
+                hit[(rows + by_column[np.add.outer(self.columns[c], np.arange(n))])[sets]] = True
                 sets = hit.reshape(self.total, n)
         return sets
 
@@ -283,8 +291,11 @@ def _positions(M: FiniteMonoid, k: int) -> np.ndarray:
 
     def build():
         # reshape(k, -1) would fail for k = 0, where the space is the one
-        # empty assignment.
-        return np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k) * n
+        # empty assignment.  Scaled in place: ``* n`` would hold a second
+        # (k, n^k) array while the first is still alive.
+        rows = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k)
+        rows *= n
+        return rows
 
     return build() if n ** k > MAX_DIM else M._cached(("positions", k), build)
 
@@ -596,21 +607,46 @@ def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
 
 def _zero_cut(f: FiniteMonoid, k: int) -> np.ndarray:
     """Factor f's block of ``_separating_columns`` before any offset: per
-    variable, the element index times n_f on each kept assignment, as
-    native ints (a gather through int32 indices costs measurably more).
-    Kept read-only in f's memo when n_f^k <= ``MAX_DIM``; its width is at
-    most n_f^k."""
+    variable, the element index times n_f on each kept assignment.  Its
+    width is at most n_f^k.  When n_f^k <= ``MAX_DIM`` it is kept read-only
+    in f's memo, as native ints (a gather through int32 indices costs
+    measurably more).  Above that it is built afresh and stays in
+    ``_positions``' int32, since a native copy would double the bytes of
+    the largest columns the kernel holds."""
+    memoized = f.order ** k <= MAX_DIM
 
     def build():
         n, e, z = f.order, f.require_identity(), f.zero_index()
-        cols = _positions(f, k).astype(np.intp)
+        cols = _positions(f, k).astype(np.intp) if memoized else _positions(f, k)
         if z is not None and z != e:
-            probes = np.full((k, k), e * n, dtype=np.intp)
+            probes = np.full((k, k), e * n, dtype=cols.dtype)
             np.fill_diagonal(probes, z * n)
             cols = np.concatenate([cols[:, (cols != z * n).all(axis=0)], probes], axis=1)
         return cols
 
-    return build() if f.order ** k > MAX_DIM else f._cached(("zero_cut", k), build)
+    return f._cached(("zero_cut", k), build) if memoized else build()
+
+
+class _Walk:
+    """The values of words on a ``_Separating``, for a stream of words in
+    which neighbours share prefixes.  ``variables`` names the cut's
+    columns in order, and a word is a sequence of those names.  The walk
+    keeps every prefix of the last word with its values, so a word
+    re-gathers only from its first letter that differs from the word before
+    it, and the walk holds len(word) + 1 tuples of the cut's width."""
+
+    def __init__(self, cut: _Separating, variables: Sequence[str]):
+        self.table, self.columns = cut.table, dict(zip(variables, cut.columns))
+        self.path: list[tuple] = [(None, cut.root)]  # [i]: word[i - 1], values of word[:i]
+
+    def values(self, word: Sequence[str]) -> np.ndarray:
+        """The values of ``word``.  The walk keeps the array, so a caller
+        must not write to it."""
+        for i, c in enumerate(word):
+            if len(self.path) <= i + 1 or self.path[i + 1][0] != c:
+                self.path[i + 1:] = [(c, self.table.take(self.columns[c] + self.path[i][1]))]
+        del self.path[len(word) + 1:]
+        return self.path[-1][1]
 
 
 def rel_free(
@@ -1196,9 +1232,13 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
     A word's values are read on ``_separating_columns`` over B's factors
     followed by A's, so one gather per letter extends B's and A's at once,
     and the first part of each tuple, B's, keys the buckets.  The words of
-    one length come in ``itertools.product`` order, each keeping the
-    values of its prefixes, so a word re-gathers only from the first letter
-    that changed: one gather per node of the trie of words.
+    each length come in ``itertools.product`` order through one ``_Walk``.
+    A word that skips a variable is not evaluated, and any other re-gathers
+    only from its first letter that differs from the word evaluated before
+    it.  So within one length the gathers number at most the nodes of the
+    trie of the evaluated words, no more than one per node of the trie of
+    all words, and the walk holds at most 7 tuples: a word of length 6 and
+    its prefixes.
     """
     b_factors = B.factors or (B,)
     for nvars in range(1, 4):
@@ -1206,28 +1246,20 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
             break
         variables = [f"x{i + 1}" for i in range(nvars)]
         cut = _separating_columns(b_factors + (A.factors or (A,)), nvars)
-        table, columns = cut.table, cut.columns
-        b_bytes = sum(cut.widths[: len(b_factors)]) * table.itemsize
-        buckets: dict[bytes, tuple[tuple[int, ...], bytes]] = {}
+        walk = _Walk(cut, variables)
+        b_bytes = sum(cut.widths[: len(b_factors)]) * cut.table.itemsize
+        buckets: dict[bytes, tuple[tuple[str, ...], bytes]] = {}
         # only words using every one of x1..x_nvars are paired
         for ell in range(nvars, 7):
-            prefixes = [cut.root] * (ell + 1)  # prefixes[i]: values of word[:i]
-            last: tuple[int, ...] = ()
-            for word in itertools.product(range(nvars), repeat=ell):
-                changed = next((i for i, (c, d) in enumerate(zip(word, last)) if c != d), 0)
-                for i in range(changed, ell):
-                    prefixes[i + 1] = table.take(columns[word[i]] + prefixes[i])
-                last = word
+            for word in itertools.product(variables, repeat=ell):
                 if len(set(word)) < nvars:
                     continue
-                values = prefixes[ell].tobytes()
+                values = walk.values(word).tobytes()
                 vb, va = values[:b_bytes], values[b_bytes:]
                 if vb in buckets:
                     w0, va0 = buckets[vb]
                     if va0 != va:
-                        return Identity(Word(variables[i] for i in w0),
-                                        Word(variables[i] for i in word))
+                        return Identity(Word(w0), Word(word))
                 else:
                     buckets[vb] = (word, va)
     return None
-

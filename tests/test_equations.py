@@ -818,6 +818,19 @@ def test_memo_keeps_no_array_over_max_dim():
     assert B0._memo[("positions", 4)].shape == (4, 5 ** 4)
 
 
+def test_zero_cut_over_max_dim_stays_int32():
+    # Past MAX_DIM the cut is built afresh and keeps _positions' int32, so
+    # its columns take no more bytes than the full space's; only memoized
+    # blocks are widened to native ints.
+    for name, k in (("Z3", 10), ("Q^1", 6), ("B0^1", 7)):
+        M = catalog(name)
+        assert M.order ** k > MAX_DIM
+        cut = _separating_columns((M,), k)
+        full = _AssignmentSpace(M, [f"x{i}" for i in range(k)]).columns
+        assert sum(c.nbytes for c in cut.columns) <= sum(c.nbytes for c in full.values()), name
+    assert _separating_columns((catalog("Z3"),), 2).columns[0].dtype == np.intp
+
+
 def test_rel_free_takes_256_elements():
     # element indices 0..255 fit the uint8 evaluation tuples
     rf = rel_free(catalog("Z256"), 1)
@@ -1424,6 +1437,53 @@ def test_isoterm_empty_word():
     assert v.kind == "certified" and v.details["exhausted_length"] == -1
 
 
+def oracle_same_as(M, variables, w):
+    """``_AssignmentSpace.same_as`` before it walked the candidates on the
+    separating columns: factor keys on M(W), otherwise each candidate's
+    values over all n^k assignments of ``variables``, gathered from scratch
+    on M's row-major table."""
+    texts = _factor_texts(M)
+    if texts is not None:
+        key = _factor_key(texts, w)
+        return lambda cand: _has_factor_key(texts, cand, key)
+    n, k = M.order, len(variables)
+    grid = dict(zip(variables, np.indices((n,) * k).reshape(k, n ** k)))
+
+    def values(word):
+        acc = np.full(n ** k, M.identity)
+        for c in word.letters:
+            acc = M.table[acc, grid[c]]
+        return acc
+
+    w_values = values(w)
+    return lambda cand: np.array_equal(values(cand), w_values)
+
+
+def test_same_as_matches_full_space_values():
+    # Every pair of words of length <= 4 over x, y, z.  The candidates come
+    # sorted and then shuffled, so the walk also re-gathers after words
+    # that share no prefix with the next.
+    words = sorted(Word(t) for ell in range(5) for t in itertools.product("xyz", repeat=ell))
+    shuffled = list(words)
+    random.Random(22).shuffle(shuffled)
+    names = ("Q^1", "E^1", "B2^1", "A2^1", "S3", "Z3", "L2^1", "B0^1", "P2^1")
+    monoids = [catalog(name) for name in names]
+    monoids += [direct_product(catalog("L2^1"), catalog("Q^1")),
+                direct_product(catalog("Z2"), catalog("B0^1"))]
+    equal = 0
+    for M in monoids:
+        space = _AssignmentSpace(M, ("x", "y", "z"))
+        for w in words:
+            expected = oracle_same_as(M, ("x", "y", "z"), w)
+            truth = {cand: expected(cand) for cand in words}
+            for order in (words, shuffled):
+                same = space.same_as(w)
+                assert [same(cand) for cand in order] == [truth[cand] for cand in order], \
+                    (M.name, w)
+            equal += sum(truth.values())
+    assert equal > len(monoids) * len(words)
+
+
 def oracle_anagram_witness(M, w, budget, equivalent):
     """The anagram phase before it became a lazy stream: collects up to
     4096 surviving rearrangements other than w, then returns the first
@@ -1442,7 +1502,7 @@ def oracle_anagram_witness(M, w, budget, equivalent):
     pair_id = {p: i for i, p in enumerate(pairs)}
     allowed_prefixes = []
     for a, b in pairs:
-        same = _AssignmentSpace(M, (a, b)).same_as(w.project({a, b}))
+        same = oracle_same_as(M, (a, b), w.project({a, b}))
         length = counts[a] + counts[b]
         good = []
         for positions in itertools.combinations(range(length), counts[b]):
@@ -1547,7 +1607,7 @@ def test_anagram_stream_matches_oracle():
     for name in ("M(xyxy)", "M(xyx)", "M(xy,yx)", "Q^1", "E^1", "B2^1"):
         M = catalog(name)
         for w in words:
-            same = _AssignmentSpace(M, sorted(w.content())).same_as(w)
+            same = oracle_same_as(M, sorted(w.content()), w)
             expected = oracle_anagram_witness(M, w, budget, same)
             assert next(filter(same, _anagrams(M, w)), None) == expected, (name, w)
             hits += expected is not None
@@ -1594,7 +1654,7 @@ def test_isoterm_falsifier_matches_oracles():
         for w in words:
             for budget in (IsotermBudget(), IsotermBudget(enum_extra_length=3),
                            IsotermBudget(enum_words=0), IsotermBudget(enum_words=20)):
-                same = _AssignmentSpace(M, sorted(w.content())).same_as(w)
+                same = oracle_same_as(M, sorted(w.content()), w)
 
                 def equivalent(cand):
                     return cand != w and same(cand)
