@@ -16,21 +16,19 @@ import sys
 import tokenize
 from pathlib import Path
 
-SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+IGNORED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def code_lines(path: Path) -> int:
     """The number of code lines of the Python file at ``path``."""
     with path.open("rb") as f:
-        tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in
-                  {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}]
+        tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in IGNORED]
     lines: set[int] = set()
     for i, tok in enumerate(tokens):
-        if tok.type in SKIP:
+        if tok.type in LAYOUT:
             continue
-        starts_line = i == 0 or tokens[i - 1].type in {
-            tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+        starts_line = i == 0 or tokens[i - 1].type in LAYOUT
         ends_line = i + 1 < len(tokens) and tokens[i + 1].type == tokenize.NEWLINE
         if tok.type == tokenize.STRING and starts_line and ends_line:
             continue
