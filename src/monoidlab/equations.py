@@ -49,17 +49,22 @@ failing assignment of all n^k.  Every other comparison of words runs on
 ``_separating_columns``, built from the kernel's columns and tables of
 each factor of a direct product (a monoid that is no product is one
 factor): each factor keeps its own assignments, cut down at its proper
-zero, and all of them gather through one concatenated table, so a product
-of n_1 and n_2 elements costs tuples over n_1^k + n_2^k assignments, not
-(n_1·n_2)^k.  ``rel_free`` builds its states on it, and a stream of words
-goes through one ``_Walk``, which keeps the values of the last word's
-prefixes, so each word re-gathers only from its first letter that differs
-from the word before it.  The two streams are the isoterm falsifier's
-candidates, tested by ``_AssignmentSpace.same_as`` in all three phases,
-and the words of ``member``'s bounded identity search.  Over M(W) the
-falsifier compares factor keys instead and never gathers.  The kernel
-bounds nothing: each verdict checks its space's size n^k, over the whole
-monoid, against its own budget.
+zero, and all of them look up through one concatenated table, so a
+product of n_1 and n_2 elements costs tuples over n_1^k + n_2^k
+assignments, not (n_1·n_2)^k.  A word's values there are ``bytes``, and
+``_Separating.times`` is the one tuple product: when the table has at
+most 256 entries (every factor has at most 16 elements) the columns are
+uint8 and the product is ``bytes.translate`` through the table padded to
+256 bytes; a larger table is gathered with ``take``.  ``rel_free`` builds
+its states on it, and a stream of words goes through one ``_Walk``, which
+keeps the values of the last word's prefixes, so each word re-gathers
+only from its first letter that differs from the word before it.  The
+two streams are the isoterm falsifier's candidates, tested by
+``_AssignmentSpace.same_as`` in all three phases, and the words of
+``member``'s bounded identity search.  Over M(W) the falsifier compares
+factor keys instead and never gathers.  The kernel bounds nothing: each
+verdict checks its space's size n^k, over the whole monoid, against its
+own budget.
 
 What the kernel reads of a monoid is computed once per instance and kept
 in that monoid's memo (``FiniteMonoid._cached``): the column-major table,
@@ -231,7 +236,7 @@ class _AssignmentSpace:
         cut = _separating_columns(self.M.factors or (self.M,), len(self.variables))
         walk = _Walk(cut, self.variables)
         w_values = walk.values(w.letters)
-        return lambda cand: np.array_equal(walk.values(cand.letters), w_values)
+        return lambda cand: walk.values(cand.letters) == w_values
 
     def values(self, word: Word) -> np.ndarray:
         """The value of ``word`` under every assignment, in order."""
@@ -551,13 +556,24 @@ class RelFree:
 
 @dataclass(frozen=True)
 class _Separating:
-    """Assignments that separate words, laid out for one gather per letter
-    (see ``_separating_columns``)."""
+    """Assignments that separate words, laid out for one lookup per letter
+    (see ``_separating_columns``).  A word's values are the ``bytes`` of
+    its tuple, in the table's dtype."""
 
     table: np.ndarray  # the factors' column-major tables, one block each
     columns: list[np.ndarray]  # per variable: kept element index * n_f + block offset
     root: np.ndarray  # the empty word's values: each factor's identity
     widths: list[int]  # the number of assignments each factor keeps
+    lookup: bytes | None  # the table padded to 256 bytes, when it has at most 256 entries
+
+    def times(self, column: np.ndarray, values: bytes) -> bytes:
+        """The values of u·x, from those of u and x's column: one lookup
+        per kept assignment, ``table[column + values]``.  A table of at
+        most 256 entries is indexed by a byte, so the sum stays in uint8
+        and ``bytes.translate`` looks it up; a larger one is gathered."""
+        if self.lookup is not None:
+            return (column + np.frombuffer(values, np.uint8)).tobytes().translate(self.lookup)
+        return self.table.take(column + np.frombuffer(values, self.table.dtype)).tobytes()
 
 
 def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
@@ -580,8 +596,13 @@ def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
     factors' n_g^2, in the least unsigned dtype that holds an element
     index of the largest factor.  A variable's column holds, per kept
     assignment, the element index times n_f plus f's offset, so the
-    values of u·x_j, factor-local like the root's, are one gather,
-    ``table[columns[j] + values(u)]``.
+    values of u·x_j, factor-local like the root's, are one lookup,
+    ``times(columns[j], values(u))``.  When the table has at most 256
+    entries (the sum of n_f^2), every column entry plus a value is below
+    256, so the columns are uint8 and the product is a byte translation.
+    A larger product's columns are int32 when any factor's block is (one
+    over ``MAX_DIM``), otherwise native ints, and each block is widened to
+    that dtype before its offset is added.
 
     Each factor's table and unshifted block (``_zero_cut``) come from its
     own memo, so a monoid that is no product gets its columns and table
@@ -595,29 +616,37 @@ def _separating_columns(factors: Sequence[FiniteMonoid], k: int) -> _Separating:
     else:
         # Concatenation promotes every table to the largest factor's dtype.
         table = np.concatenate([_by_column(f) for f in factors])
+        dtype = (np.uint8 if len(table) <= 256
+                 else np.int32 if any(b.dtype == np.int32 for b in blocks) else np.intp)
         offsets = itertools.accumulate((f.order ** 2 for f in factors[:-1]), initial=0)
-        columns = np.concatenate([block + offset for block, offset in zip(blocks, offsets)], axis=1)
+        # Added in ``dtype``: a uint8 block plus its offset would wrap.
+        columns = np.concatenate(
+            [np.add(block, offset, dtype=dtype) for block, offset in zip(blocks, offsets)], axis=1)
     return _Separating(
         table=table,
         columns=list(columns),
         root=np.repeat(np.array([f.identity for f in factors], dtype=table.dtype), widths),
         widths=widths,
+        lookup=table.tobytes().ljust(256, b"\0") if len(table) <= 256 else None,
     )
 
 
 def _zero_cut(f: FiniteMonoid, k: int) -> np.ndarray:
     """Factor f's block of ``_separating_columns`` before any offset: per
     variable, the element index times n_f on each kept assignment.  Its
-    width is at most n_f^k.  When n_f^k <= ``MAX_DIM`` it is kept read-only
-    in f's memo, as native ints (a gather through int32 indices costs
-    measurably more).  Above that it is built afresh and stays in
-    ``_positions``' int32, since a native copy would double the bytes of
-    the largest columns the kernel holds."""
+    width is at most n_f^k.  When n_f <= 16 it is uint8, since every entry
+    is below n_f^2 <= 256, the byte index of ``_Separating.times``.  A
+    larger factor's block is native ints when n_f^k <= ``MAX_DIM`` (a
+    gather through int32 indices costs measurably more), and above that it
+    stays in ``_positions``' int32, since a native copy would double the
+    bytes of the largest columns the kernel holds.  It is kept read-only in
+    f's memo while n_f^k <= ``MAX_DIM``, and built afresh above that."""
     memoized = f.order ** k <= MAX_DIM
 
     def build():
         n, e, z = f.order, f.require_identity(), f.zero_index()
-        cols = _positions(f, k).astype(np.intp) if memoized else _positions(f, k)
+        dtype = np.uint8 if n * n <= 256 else np.intp if memoized else np.int32
+        cols = _positions(f, k).astype(dtype, copy=False)
         if z is not None and z != e:
             probes = np.full((k, k), e * n, dtype=cols.dtype)
             np.fill_diagonal(probes, z * n)
@@ -633,18 +662,18 @@ class _Walk:
     columns in order, and a word is a sequence of those names.  The walk
     keeps every prefix of the last word with its values, so a word
     re-gathers only from its first letter that differs from the word before
-    it, and the walk holds len(word) + 1 tuples of the cut's width."""
+    it, and the walk holds len(word) + 1 tuples of the cut's width, each as
+    the ``bytes`` that ``_Separating.times`` returns."""
 
     def __init__(self, cut: _Separating, variables: Sequence[str]):
-        self.table, self.columns = cut.table, dict(zip(variables, cut.columns))
-        self.path: list[tuple] = [(None, cut.root)]  # [i]: word[i - 1], values of word[:i]
+        self.times, self.columns = cut.times, dict(zip(variables, cut.columns))
+        self.path: list[tuple] = [(None, cut.root.tobytes())]  # [i]: word[i - 1], values of word[:i]
 
-    def values(self, word: Sequence[str]) -> np.ndarray:
-        """The values of ``word``.  The walk keeps the array, so a caller
-        must not write to it."""
+    def values(self, word: Sequence[str]) -> bytes:
+        """The values of ``word``."""
         for i, c in enumerate(word):
             if len(self.path) <= i + 1 or self.path[i + 1][0] != c:
-                self.path[i + 1:] = [(c, self.table.take(self.columns[c] + self.path[i][1]))]
+                self.path[i + 1:] = [(c, self.times(self.columns[c], self.path[i][1]))]
         del self.path[len(word) + 1:]
         return self.path[-1][1]
 
@@ -691,8 +720,9 @@ def rel_free(
     assignments and probes, which tell two words apart exactly when all
     n^k assignments of M do.  Right multiplication acts on each assignment
     alone, so the BFS meets the same states in the same order as over all
-    n^k, and the tuple of u·x_j is one gather, ``table[col_j + tuple(u)]``,
-    in the table's dtype.
+    n^k, and the key of u·x_j is one ``_Separating.times`` of u's key, the
+    tuple ``table[col_j + tuple(u)]`` in the table's dtype: a byte
+    translation when the table has at most 256 entries, a gather otherwise.
 
     Raises RelFreeCapExceeded if n^k, over M's own n elements, exceeds
     ``max_dim`` (whatever the number of assignments kept).
@@ -713,11 +743,10 @@ def rel_free(
         raise ValueError("generator name list must have length k")
 
     # A list of rows, bound once: indexing the 2-D array on every step
-    # of the search costs measurably more, and so does a gather through
-    # int32 rather than native indices.  A gather through the table lands
-    # straight in a tuple's bytes, in the table's dtype.
+    # of the search costs measurably more.  The product takes a state's
+    # key and returns the new tuple's key, so no tuple is held as an array.
     cut = _separating_columns(M.factors or (M,), k)
-    gen_cols, flat = cut.columns, cut.table
+    gen_cols, times = cut.columns, cut.times
 
     tracked = None
     if track is not None:
@@ -756,7 +785,6 @@ def rel_free(
         b = first[head]
         s = suffix[head]
         suffix_row = transitions[s] if s >= 0 else unfilled
-        cur = None
         for j in range(k):
             # u·x_j = x_b·word(r) for r = s·x_j.  If r was created from
             # (s, j), the chain ends at u's own entry for x_j, still -1, so
@@ -768,9 +796,7 @@ def rel_free(
                 if t >= 0:
                     found = transitions[t][parent_letter[r]]
             if found < 0:
-                if cur is None:
-                    cur = np.frombuffer(keys[head], dtype=flat.dtype)
-                key = flat.take(gen_cols[j] + cur).tobytes()
+                key = times(gen_cols[j], keys[head])
                 found = index.get(key)
                 if found is None:
                     if len(keys) >= max_states:
@@ -1254,7 +1280,7 @@ def _bounded_identity_search(A: FiniteMonoid, B: FiniteMonoid) -> Identity | Non
             for word in itertools.product(variables, repeat=ell):
                 if len(set(word)) < nvars:
                     continue
-                values = walk.values(word).tobytes()
+                values = walk.values(word)
                 vb, va = values[:b_bytes], values[b_bytes:]
                 if vb in buckets:
                     w0, va0 = buckets[vb]

@@ -60,6 +60,7 @@ from monoidlab.monoids import (
     from_presentation,
     parse_monoid_text,
     rees_quotient,
+    STOCK_PRESENTATIONS,
     submonoid,
 )
 from monoidlab.words import (
@@ -650,10 +651,13 @@ def test_rel_free_matches_dense_oracle():
 def _relfree_products():
     """Direct products with a proper zero in every factor (M(1) x M(1)
     keeps probes alone), in one (Z1's zero is its identity; Z2 has none)
-    or in none, and two nested three-factor ones."""
+    or in none, Z12 x Z12, whose concatenated table (288 entries) is past
+    a byte index while each factor's block is uint8, so an offset added in
+    uint8 would wrap, and two nested three-factor ones."""
     names = ("M(1)", "Z1", "L2^1", "R2^1", "M(x)", "Z2", "B0^1", "M(xy)", "Q^1", "S3")
     products = [direct_product(catalog(a), catalog(b))
                 for a, b in itertools.combinations_with_replacement(names, 2)]
+    products.append(direct_product(catalog("Z12"), catalog("Z12")))
     products.append(direct_product(
         direct_product(catalog("L2^1"), catalog("M(x)")), catalog("R2^1")))
     products.append(direct_product(
@@ -819,16 +823,63 @@ def test_memo_keeps_no_array_over_max_dim():
 
 
 def test_zero_cut_over_max_dim_stays_int32():
-    # Past MAX_DIM the cut is built afresh and keeps _positions' int32, so
-    # its columns take no more bytes than the full space's; only memoized
-    # blocks are widened to native ints.
-    for name, k in (("Z3", 10), ("Q^1", 6), ("B0^1", 7)):
+    # Past MAX_DIM the cut is built afresh, so its columns take no more
+    # bytes than the full space's.  A factor of at most 16 elements keeps
+    # uint8 blocks, memoized or not (the byte index of _Separating.times);
+    # a larger one keeps _positions' int32 past MAX_DIM, and only its
+    # memoized blocks are widened to native ints.
+    for name, k in (("Z3", 10), ("Q^1", 6), ("B0^1", 7), ("Z17", 4), ("Z200", 2)):
         M = catalog(name)
         assert M.order ** k > MAX_DIM
         cut = _separating_columns((M,), k)
         full = _AssignmentSpace(M, [f"x{i}" for i in range(k)]).columns
         assert sum(c.nbytes for c in cut.columns) <= sum(c.nbytes for c in full.values()), name
-    assert _separating_columns((catalog("Z3"),), 2).columns[0].dtype == np.intp
+        assert cut.columns[0].dtype == (np.uint8 if M.order <= 16 else np.int32), name
+    assert _separating_columns((catalog("Z3"),), 2).columns[0].dtype == np.uint8
+    assert _separating_columns((catalog("Z17"),), 2).columns[0].dtype == np.intp
+    # A product keeps int32 when any factor's block is int32: Z6's
+    # memoized block is not widened past Z200's.
+    cut = _separating_columns((catalog("Z200"), catalog("Z6")), 2)
+    assert cut.columns[0].dtype == np.int32
+    assert sum(c.nbytes for c in cut.columns) == 2 * 4 * (200 ** 2 + 6 ** 2)
+
+
+def test_separating_product_matches_take_oracle():
+    # _Separating.times translates bytes through the table padded to 256
+    # entries when it has at most 256 (Z16 has exactly 256, Z17 is the
+    # first above), and gathers otherwise.  Either must equal a native-int
+    # gather at the oracle's columns, on seeded values of each factor's
+    # own elements and on each factor's last element (the largest index).
+    rng = np.random.default_rng(24)
+    names = [name + suffix for name in STOCK_PRESENTATIONS for suffix in ("", "^1")]
+    names += [f"Z{n}" for n in range(1, 18)] + ["S3", "M(1)", "M(x)", "M(xy)", "M(xyx)",
+                                                  "M(xyxy)", "M(xy,yx)", "M(xyx,yy)"]
+    monoids = [M for M in map(catalog, names) if M.order <= 17 and M.identity is not None]
+    monoids += [direct_product(catalog(a), catalog(b)) for a, b in (
+        ("Z8", "Z8"), ("B0^1", "Z15"), ("Z11", "Z11"), ("Z2", "M(xyxy)"),  # 128 to 242 entries
+        ("Z12", "Z12"), ("Z15", "Z6"), ("Z1", "Z16"), ("Z16", "Z2"),  # 288, 261, 257, 260
+        ("Z17", "Z2"), ("Z2", "Z216"),
+    )]
+    seen = collections.Counter()
+    for M in monoids:
+        factors = M.factors or (M,)
+        for k in (1, 2, 3, 4):
+            if max(f.order for f in factors) ** k > 100_000:
+                continue
+            cut = _separating_columns(factors, k)
+            table, columns, _, widths = oracle_separating_columns(factors, k)
+            assert cut.widths == widths and (cut.lookup is not None) == (len(table) <= 256)
+            seen[cut.lookup is not None, max(f.order for f in factors) ** k > MAX_DIM] += 1
+            seeded = [rng.integers(0, f.order, w) for f, w in zip(factors, widths)]
+            last = [np.full(w, f.order - 1) for f, w in zip(factors, widths)]
+            for values in (np.concatenate(seeded), np.concatenate(last)):
+                values = values.astype(table.dtype)
+                for j in range(k):
+                    assert cut.times(cut.columns[j], values.tobytes()) == table.take(
+                        columns[j].astype(np.intp) + values).tobytes(), (M.name, k, j)
+    assert len(monoids) >= 50 and min(seen.values()) >= 3, seen
+    assert _separating_columns((catalog("Z16"),), 1).lookup is not None
+    assert _separating_columns((catalog("Z17"),), 1).lookup is None
 
 
 def test_rel_free_takes_256_elements():
