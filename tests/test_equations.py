@@ -855,9 +855,11 @@ def test_separating_product_matches_take_oracle():
     names += [f"Z{n}" for n in range(1, 18)] + ["S3", "M(1)", "M(x)", "M(xy)", "M(xyx)",
                                                   "M(xyxy)", "M(xy,yx)", "M(xyx,yy)"]
     monoids = [M for M in map(catalog, names) if M.order <= 17 and M.identity is not None]
+    # Tables of 128, 250, 242 and 85 entries, then of 288, 261, 257 and
+    # 260, then with an int32 block past MAX_DIM beside a small factor's.
     monoids += [direct_product(catalog(a), catalog(b)) for a, b in (
-        ("Z8", "Z8"), ("B0^1", "Z15"), ("Z11", "Z11"), ("Z2", "M(xyxy)"),  # 128 to 242 entries
-        ("Z12", "Z12"), ("Z15", "Z6"), ("Z1", "Z16"), ("Z16", "Z2"),  # 288, 261, 257, 260
+        ("Z8", "Z8"), ("B0^1", "Z15"), ("Z11", "Z11"), ("Z2", "M(xyxy)"),
+        ("Z12", "Z12"), ("Z15", "Z6"), ("Z1", "Z16"), ("Z16", "Z2"),
         ("Z17", "Z2"), ("Z2", "Z216"),
     )]
     seen = collections.Counter()
