@@ -94,8 +94,13 @@ semigroups", 1997), most transitions are looked up from the suffix and
 left multiples of states already built; only a transition that could reach
 a new state takes the tuple product, as does any lookup that meets a -1
 (a state skipped by the cap, or a row not yet filled).  Each state's tuple
-is stored once, as its dictionary key.  This powers both the isoterm
-certifier and variety membership.
+is stored once, as its dictionary key.  Variety membership builds every
+state.  The isoterm certifier runs the same search but keeps only the
+left divisors of its word w, the states p with w(t) in p(t)·M_f on every
+kept assignment t of each factor f: they are closed under prefixes and
+hold every prefix of every word in w's class, which is all the class
+search reads.  For x y x y over M(xyxy) that is 5 states of 21, and for
+the Zimin word Z_4 over B2^1, 16 of 129,340.
 """
 
 from __future__ import annotations
@@ -255,20 +260,12 @@ class _AssignmentSpace:
         rows = np.arange(0, self.total * n, n)[:, None]
         for c in word.letters:
             if c in linear:
-                sets = sets @ self.right_ideals
+                sets = sets @ _right_ideals(self.M)
             else:
                 hit = np.zeros(self.total * n, dtype=bool)
                 hit[(rows + by_column[np.add.outer(self.columns[c], np.arange(n))])[sets]] = True
                 sets = hit.reshape(self.total, n)
         return sets
-
-    @functools.cached_property
-    def right_ideals(self) -> np.ndarray:
-        """Entry [s, t] is whether t lies in s·M."""
-        n = self.M.order
-        ideals = np.zeros((n, n), dtype=bool)
-        ideals[np.arange(n)[:, None], self.M.table] = True
-        return ideals
 
     def assignment(self, index: int) -> dict[str, str]:
         """The assignment at ``index``, as variable -> element label."""
@@ -287,20 +284,38 @@ def _by_column(M: FiniteMonoid) -> np.ndarray:
     return M._cached("by_column", build)
 
 
+def _right_ideals(M: FiniteMonoid) -> np.ndarray:
+    """Entry [s, t] is whether t lies in s·M.  Kept in M's memo."""
+
+    def build():
+        n = M.order
+        ideals = np.zeros((n, n), dtype=bool)
+        ideals[np.arange(n)[:, None], M.table] = True
+        return ideals
+
+    return M._cached("right_ideals", build)
+
+
+def _position_rows(n: int, k: int, dtype) -> np.ndarray:
+    """The (k, n^k) array in ``dtype`` whose row i holds, for every
+    assignment of k variables over n elements in mixed-radix order, the
+    element index of variable i times n."""
+    # reshape(k, -1) would fail for k = 0, where the space is the one
+    # empty assignment.  Scaled in place: ``* n`` would hold a second
+    # (k, n^k) array while the first is still alive.
+    rows = np.indices((n,) * k, dtype=dtype).reshape(k, n ** k)
+    rows *= n
+    return rows
+
+
 def _positions(M: FiniteMonoid, k: int) -> np.ndarray:
-    """The (k, n^k) int32 array whose row i holds, for every assignment of
-    k variables in mixed-radix order, the element index of variable i
-    times n.  Kept read-only in M's memo when n^k <= ``MAX_DIM``, built
-    afresh above it, so the memo's size is bounded per k."""
+    """``_position_rows`` of M in int32.  Kept read-only in M's memo when
+    n^k <= ``MAX_DIM``, built afresh above it, so the memo's size is
+    bounded per k."""
     n = M.order
 
     def build():
-        # reshape(k, -1) would fail for k = 0, where the space is the one
-        # empty assignment.  Scaled in place: ``* n`` would hold a second
-        # (k, n^k) array while the first is still alive.
-        rows = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k)
-        rows *= n
-        return rows
+        return _position_rows(n, k, np.int32)
 
     return build() if n ** k > MAX_DIM else M._cached(("positions", k), build)
 
@@ -638,15 +653,18 @@ def _zero_cut(f: FiniteMonoid, k: int) -> np.ndarray:
     is below n_f^2 <= 256, the byte index of ``_Separating.times``.  A
     larger factor's block is native ints when n_f^k <= ``MAX_DIM`` (a
     gather through int32 indices costs measurably more), and above that it
-    stays in ``_positions``' int32, since a native copy would double the
-    bytes of the largest columns the kernel holds.  It is kept read-only in
-    f's memo while n_f^k <= ``MAX_DIM``, and built afresh above that."""
+    is int32, since a native copy would double the bytes of the largest
+    columns the kernel holds.  It is kept read-only in f's memo while
+    n_f^k <= ``MAX_DIM``, and built afresh above that, its position rows
+    then made directly in the block's dtype: int32 rows narrowed
+    afterwards would hold five times a uint8 block's bytes at once."""
     memoized = f.order ** k <= MAX_DIM
 
     def build():
         n, e, z = f.order, f.require_identity(), f.zero_index()
         dtype = np.uint8 if n * n <= 256 else np.intp if memoized else np.int32
-        cols = _positions(f, k).astype(dtype, copy=False)
+        rows = _positions(f, k) if memoized else _position_rows(n, k, dtype)
+        cols = rows.astype(dtype, copy=False)
         if z is not None and z != e:
             probes = np.full((k, k), e * n, dtype=cols.dtype)
             np.fill_diagonal(probes, z * n)
@@ -654,6 +672,30 @@ def _zero_cut(f: FiniteMonoid, k: int) -> np.ndarray:
         return cols
 
     return f._cached(("zero_cut", k), build) if memoized else build()
+
+
+def _left_divisor_test(
+    factors: Sequence[FiniteMonoid], cut: _Separating, w: bytes
+) -> Callable[[bytes], bool]:
+    """A test of whether the values p of a word left-divide the values
+    ``w`` on ``cut`` (laid out over ``factors``): w(t) in p(t)·M_f on
+    every kept assignment t, M_f the factor that t belongs to.
+
+    It looks up like ``_Separating.times``, in the factors' right ideals
+    (``_right_ideals``) laid out as their tables are: entry w·n_f + a of
+    f's block, offset as f's table block, is whether w lies in a·M_f.  So
+    w's column holds w(t)·n_f plus f's offset, and the test is that every
+    entry at that column plus p holds.  On a table of at most 256 entries
+    the sum is a byte and the lookup a byte translation."""
+    orders = [f.order for f in factors]
+    offsets = list(itertools.accumulate((n * n for n in orders[:-1]), initial=0))
+    ideals = np.concatenate([_right_ideals(f).T.reshape(-1) for f in factors])
+    column = (np.frombuffer(w, cut.table.dtype) * np.repeat(orders, cut.widths)
+              + np.repeat(offsets, cut.widths))
+    if cut.lookup is not None:
+        column, lookup = column.astype(np.uint8), ideals.tobytes().ljust(256, b"\0")
+        return lambda p: b"\0" not in (column + np.frombuffer(p, np.uint8)).tobytes().translate(lookup)
+    return lambda p: bool(ideals.take(column + np.frombuffer(p, cut.table.dtype)).all())
 
 
 class _Walk:
@@ -724,10 +766,47 @@ def rel_free(
     tuple ``table[col_j + tuple(u)]`` in the table's dtype: a byte
     translation when the table has at most 256 entries, a gather otherwise.
 
+    This builds every state: ``member`` needs the whole monoid.  The
+    isoterm certifier runs the same search through ``_rel_free`` with a
+    word w, and keeps only w's left divisors, which ``_rel_free`` shows
+    are enough for its class search.
+
     Raises RelFreeCapExceeded if n^k, over M's own n elements, exceeds
     ``max_dim`` (whatever the number of assignments kept).
     Returns ``complete=False`` (with whatever was found) if the search ended
     at a conflict or the state count would exceed ``max_states``.
+    """
+    return _rel_free(M, k, generators=generators, max_states=max_states, max_dim=max_dim,
+                     track=track, track_images=track_images)
+
+
+def _rel_free(
+    M: FiniteMonoid,
+    k: int,
+    *,
+    generators: Sequence[str] | None = None,
+    max_states: int = MAX_STATES,
+    max_dim: int = MAX_DIM,
+    track: FiniteMonoid | None = None,
+    track_images: Sequence[str] | None = None,
+    divides: Word | None = None,
+) -> RelFree:
+    """``rel_free``'s search.  Given a word w over the generators as
+    ``divides``, it keeps only the states p with w(t) in p(t)·M_f on every
+    kept assignment t, M_f the factor that t belongs to, as
+    ``_left_divisor_test`` decides.  A new tuple that fails is not added:
+    its transition stays -1, and it counts toward neither ``max_states``
+    nor ``complete``.
+
+    The kept set is closed under prefixes (w in p·x·M_f lies in p·M_f), so
+    the search still reaches each kept state by its shortlex-least word,
+    and the kept states with their transitions among them are exactly
+    those of the whole monoid.  Every prefix p of a word u in w's class is
+    kept, since u = p·q gives w(t) = p(t)·q(t).  So the states that can
+    reach w's state, and the edges between them, are the whole monoid's,
+    which is all ``_second_word_in_class`` reads.  Suffixes of kept states
+    need not be kept: a missing suffix row makes the Froidure–Pin lookups
+    meet a -1, and the transition takes the tuple product.
     """
     M.require_identity()
     n = M.order
@@ -745,8 +824,12 @@ def rel_free(
     # A list of rows, bound once: indexing the 2-D array on every step
     # of the search costs measurably more.  The product takes a state's
     # key and returns the new tuple's key, so no tuple is held as an array.
-    cut = _separating_columns(M.factors or (M,), k)
+    factors = M.factors or (M,)
+    cut = _separating_columns(factors, k)
     gen_cols, times = cut.columns, cut.times
+    keep = None
+    if divides is not None:
+        keep = _left_divisor_test(factors, cut, _Walk(cut, gen_names).values(divides.letters))
 
     tracked = None
     if track is not None:
@@ -799,6 +882,8 @@ def rel_free(
                 key = times(gen_cols[j], keys[head])
                 found = index.get(key)
                 if found is None:
+                    if keep is not None and not keep(key):
+                        continue
                     if len(keys) >= max_states:
                         complete = False
                         continue
@@ -850,8 +935,8 @@ def rel_free(
 class IsotermBudget:
     """The bounds of ``isoterm`` a caller may set: the exhaustive phase
     scans at most ``enum_words`` words, none longer than len(w) +
-    ``enum_extra_length`` or ``small_length``, and the certifier's
-    ``rel_free`` keeps at most ``max_states`` states.  Fixed: the
+    ``enum_extra_length`` or ``small_length``, and the certifier keeps at
+    most ``max_states`` states of the relatively free monoid.  Fixed: the
     substitution budget ``DEFAULT_BUDGET``, the anagram phase's 200,000
     rearrangements and ``rel_free``'s default dimension cap."""
 
@@ -971,16 +1056,24 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     for a word other than w that M makes equal to it: ``perturbations``,
     ``anagrams`` (pruned rearrangements) and ``exhaustive`` (every word
     over content(w) of length 0..bound in shortlex order, the bound fixed
-    up front by ``_exhaustive_bound``).  A hit is NotIsoterm's witness.
-    Otherwise the certifier looks for a second word in w's class in the
-    relatively free monoid on content(w) (Certified if there is none).  It
-    requires M to have a zero element so that any word equal to w under M
-    must use exactly w's variables (substituting the zero for a
-    missing/extra variable would otherwise escape the class); when it
-    cannot run, the verdict is BoundedOnly with the scanned bound and
-    ``certifier`` set to ``skipped: <reason>``.  Raises BudgetExceededError,
-    before any phase, when content(w) has more than ``DEFAULT_BUDGET``
-    assignments.
+    up front by ``_exhaustive_bound``).  A hit is NotIsoterm's witness,
+    with ``phase`` its only detail.
+
+    The certifier runs after ``perturbations`` and before the other two
+    phases.  It looks for a second word in w's class among w's left
+    divisors in the relatively free monoid on content(w) (``_rel_free``
+    with ``divides``), and reports how many it kept as
+    ``left_divisor_states``.  If there is none, the verdict is Certified
+    at once: no later phase could hit.  Otherwise the later phases run as
+    they would without it, so a hit there is still the witness, and only
+    when both come up empty is the certifier's word, re-checked with
+    ``satisfies``, NotIsoterm's witness.  The certifier requires M to have
+    a zero element so that any word equal to w under M must use exactly
+    w's variables (substituting the zero for a missing/extra variable
+    would otherwise escape the class); when it cannot run, the verdict is
+    BoundedOnly with the scanned bound and ``certifier`` set to ``skipped:
+    <reason>``.  Raises BudgetExceededError, before any phase, when
+    content(w) has more than ``DEFAULT_BUDGET`` assignments.
     """
     budget = budget or IsotermBudget()
     # One equality test over content(w) checks the candidates of every
@@ -990,37 +1083,44 @@ def isoterm(M: FiniteMonoid, w: Word, *, budget: IsotermBudget | None = None) ->
     _check_budget(space, DEFAULT_BUDGET)
     same = space.same_as(w)
     bound = _exhaustive_bound(len(gens), len(w), budget)
-    phases = (
-        ("perturbations", _perturbations(w)),
-        ("anagrams", _anagrams(M, w)),
-        ("exhaustive", (Word(t) for ell in range(bound + 1)
-                        for t in itertools.product(gens, repeat=ell))),
-    )
-    for phase, candidates in phases:
-        hit = next((cand for cand in candidates if cand != w and same(cand)), None)
-        if hit is not None:
-            return IsotermVerdict("not_isoterm", w, witness=hit, details={"phase": phase})
+
+    def falsify(*phases) -> IsotermVerdict | None:
+        for phase, candidates in phases:
+            hit = next((cand for cand in candidates if cand != w and same(cand)), None)
+            if hit is not None:
+                return IsotermVerdict("not_isoterm", w, witness=hit, details={"phase": phase})
+        return None
+
+    if verdict := falsify(("perturbations", _perturbations(w))):
+        return verdict
     details: dict = {"exhausted_length": bound}
 
-    # Certifier via the relatively free monoid on content(w).
+    # Certifier via w's left divisors in the relatively free monoid on
+    # content(w).
+    witness = None
     try:
         zero = M.zero_index()
         if zero is None or zero == M.identity:
             raise _CertifierSkipped("base monoid has no proper zero")
-        rf = rel_free(M, len(gens), generators=gens, max_states=budget.max_states)
+        rf = _rel_free(M, len(gens), generators=gens, max_states=budget.max_states, divides=w)
         if not rf.complete:
             raise _CertifierSkipped("state cap reached")
-        details["free_monoid_size"] = rf.size
+        details["left_divisor_states"] = rf.size
         target = rf.state_of(w)
         if target is None:
             raise AssertionError("a complete free object must contain the word's class")
         witness = _second_word_in_class(rf, target, w)
+        if witness is None:
+            details["certifier"] = "class of w is a singleton"
+            return IsotermVerdict("certified", w, details=details)
     except (_CertifierSkipped, RelFreeCapExceeded) as exc:
         details["certifier"] = f"skipped: {exc}"
-        return IsotermVerdict("bounded_only", w, bound=bound, details=details)
+
+    exhaustive = (Word(t) for ell in range(bound + 1) for t in itertools.product(gens, repeat=ell))
+    if verdict := falsify(("anagrams", _anagrams(M, w)), ("exhaustive", exhaustive)):
+        return verdict
     if witness is None:
-        details["certifier"] = "class of w is a singleton"
-        return IsotermVerdict("certified", w, details=details)
+        return IsotermVerdict("bounded_only", w, bound=bound, details=details)
     check = satisfies(M, Identity(w, witness))
     if not check.holds:
         raise AssertionError("certifier produced a bad witness")
@@ -1047,6 +1147,15 @@ def _second_word_in_class(rf: RelFree, target: int, w: Word) -> Word | None:
     other than w is the answer.  A cycle makes the class infinite; a
     bounded per-length count over the kept edges then picks a length, and
     the answer is the least path of that length other than w.
+
+    rf may keep only w's left divisors (``_rel_free`` with ``divides``):
+    the trimmed part, all that is read, is then the whole monoid's, so the
+    answer is the same.  The cyclic scan's step cap, len(w) + 3·size + 2,
+    still reads rf.size, and it stays sound because it needs only size to
+    bound the trimmed states N: a root path to a state on a cycle, once
+    round the cycle and on to the target gives class words of lengths l
+    and l + c with l <= 2N - 2 and c <= N, one of which is not len(w); so
+    the wanted length is at most 3N - 2, whatever else rf keeps.
 
     Raises RelFreeCapExceeded if the cyclic-case scan exceeds its step cap.
     """

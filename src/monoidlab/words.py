@@ -493,7 +493,12 @@ def extend_match(
     match on the same dict) if they are gone again when it resumes.
     Variables bound on entry are fixed images: the caller seeds them to
     solve several patterns jointly.  Unbound variables take every length in
-    increasing order, so solutions come in a fixed order.  ``bindings`` is
+    increasing order, so solutions come in a fixed order.  A variable c
+    bound here that occurs m times in the rest of the pattern (this
+    occurrence included) takes at most (room − images bound to the other
+    letters there) // m letters, the room being the text left from where
+    its image starts: a longer image cannot fit, so the bound cuts no
+    solution and reorders none.  ``bindings`` is
     restored when the generator is exhausted or closed, so a consumer may
     stop at any solution.  Backtracking runs on an explicit stack of choice
     points, one per variable bound here (its index in ``pat``, where its
@@ -511,11 +516,13 @@ def extend_match(
                 c = pat[pi]
                 bound = bindings.get(c)
                 if bound is None:
+                    rest = pat[pi + 1 :]
                     longest = limit - pos
-                    for d in pat[pi + 1 :]:
+                    for d in rest:
                         longest -= len(bindings.get(d, ()))
                     if longest < 0:
                         break
+                    longest //= rest.count(c) + 1
                     bound = bindings[c] = ()
                     stack.append((pi, pos, longest))
                 elif txt[pos : pos + len(bound)] != bound:

@@ -24,6 +24,7 @@ from monoidlab.equations import (
     IsotermBudget,
     isoterm,
     member,
+    rel_free,
     satisfies,
 )
 from monoidlab.lattice import check_all_edges, expanded_count, load_figure, validate_lattice
@@ -206,10 +207,12 @@ def test_criterion_07():
     with criterion(7, "the generating word itself certifies as an isoterm via "
                       "the relatively free quotient; x^2 is falsified for the "
                       "order-3 quotient with witness x^3"):
+        assert rel_free(catalog("M(xyxy)"), 2).size == 21
         v = isoterm(catalog("M(xyxy)"), parse_word("x y x y"))
         assert v.kind == "certified"
         assert v.details["certifier"] == "class of w is a singleton"
-        assert v.details["free_monoid_size"] == 21
+        # the certifier keeps only the 5 left divisors of x y x y
+        assert v.details["left_divisor_states"] == 5
 
         v = isoterm(catalog("M(x)"), parse_word("x^2"))
         assert v.kind == "not_isoterm"

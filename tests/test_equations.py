@@ -1364,6 +1364,69 @@ def test_second_word_in_class_matches_oracle():
     assert sum(outcomes.values()) == 3618
 
 
+def _certifier_outcome(build, w):
+    """The certifier's answer for w: None (certified) or the second word
+    of w's class, or the message of a RelFreeCapExceeded exit from
+    ``build()`` or the class search; with the monoid built, or None."""
+    try:
+        rf = build()
+    except RelFreeCapExceeded as exc:
+        return str(exc), None
+    target = rf.state_of(w)
+    assert rf.complete and target is not None, w
+    try:
+        return _second_word_in_class(rf, target, w), rf
+    except RelFreeCapExceeded as exc:
+        return str(exc), rf
+
+
+def test_pruned_certifier_matches_dense_oracle():
+    # The certifier keeps only w's left divisors.  Its oracle is the whole
+    # monoid (public rel_free, built once per monoid and k, on x1..xk)
+    # read by the same class search.  Every word of length <= 6 over x, y,
+    # z must get the same answer, and each kept state must be the whole
+    # monoid's state of the same shortlex-least word.
+    bases = [catalog(name) for name in ("M(xyxy)", "B2^1", "A2^1", "Q^1", "B0^1")]
+    bases.append(direct_product(catalog("B0^1"), catalog("M(xy)")))
+    words = [Word(t) for ell in range(7) for t in itertools.product("xyz", repeat=ell)]
+    outcomes, answers = collections.Counter(), {}
+    for M in bases:
+        dense = {}
+        # wn_xyxy(2) has 5 letters: where n^5 > MAX_DIM, both exit at once
+        for w in words + [wn_xyxy(2)] * (M.order ** 5 > MAX_DIM):
+            gens = tuple(sorted(w.content()))
+            k = len(gens)
+            if k not in dense:
+                dense[k] = _certifier_outcome(lambda: rel_free(M, k), EMPTY)[1]
+            rename = {c: f"x{i + 1}" for i, c in enumerate(gens)}
+            back = {x: c for c, x in rename.items()}
+
+            def whole():
+                if dense[k] is None:
+                    rel_free(M, k)  # raises its RelFreeCapExceeded again
+                return dense[k]
+
+            expected, full = _certifier_outcome(whole, Word(rename[c] for c in w.letters))
+            if isinstance(expected, Word):
+                expected = Word(back[x] for x in expected.letters)
+            got, rf = _certifier_outcome(
+                lambda: equations._rel_free(M, k, generators=gens, divides=w), w)
+            assert got == expected, (M.name, w)
+            if isinstance(got, Word):
+                assert got != w and satisfies(M, Identity(w, got)).holds, (M.name, w)
+            if rf is not None:
+                assert rf.size <= full.size
+                for state in range(rf.size):
+                    word = Word(rename[c] for c in rf.word_of(state).letters)
+                    assert full.word_of(full.state_of(word)) == word, (M.name, w, state)
+            outcomes[type(got).__name__] += 1
+            answers[M.name, w] = got
+    # certified, a second word and the max_dim exit all occur, and so does
+    # the cyclic case: B2^1's class of x y x y is infinite
+    assert outcomes == {"NoneType": 321, "Word": 6237, "str": 2}, outcomes
+    assert answers["B2^1", parse_word("x y x y")] == parse_word("x y x y x y")
+
+
 def test_isoterm_not_isoterm_cases():
     v = isoterm(catalog("M(x)"), parse_word("x x"))
     assert v.kind == "not_isoterm"
@@ -1377,19 +1440,23 @@ def test_isoterm_not_isoterm_cases():
 
 
 def test_isoterm_certified_cases():
-    for name, text, free_size in (
-        ("M(xy)", "x y", 10),
-        ("M(xyx)", "x y x", 12),
-        ("M(xyxy)", "x y x y", 21),
+    # The whole relatively free monoid on 2 generators, and the states the
+    # certifier keeps: w's left divisors, here its prefixes.
+    for name, text, free_size, kept in (
+        ("M(xy)", "x y", 10, 3),
+        ("M(xyx)", "x y x", 12, 4),
+        ("M(xyxy)", "x y x y", 21, 5),
     ):
+        assert rel_free(catalog(name), 2).size == free_size
         v = isoterm(catalog(name), parse_word(text))
         assert v.kind == "certified", (name, text, v)
-        assert v.details["free_monoid_size"] == free_size
+        assert v.details["left_divisor_states"] == kept
 
 
 def test_isoterm_certifier_witness_exit():
     # The exhaustive phase stops at length 5, so only the certifier finds
     # the second word of w's class, (xy)^3 or (yx)^3, and re-checks it.
+    # It keeps the 6 left divisors of w: its 5 prefixes and (xy)^2 x.
     for name, text, witness, free_size in (
         ("B2^1", "x y x y", "x y x y x y", 20),
         ("B2^1", "y x y x", "y x y x y x", 20),
@@ -1397,11 +1464,12 @@ def test_isoterm_certifier_witness_exit():
         ("A2^1", "y x y x", "y x y x y x", 33),
     ):
         M, w = catalog(name), parse_word(text)
+        assert rel_free(M, 2).size == free_size
         v = isoterm(M, w)
         assert (v.kind, v.witness) == ("not_isoterm", parse_word(witness)), (name, text)
         assert list(v.details.items()) == [
             ("exhausted_length", 5),
-            ("free_monoid_size", free_size),
+            ("left_divisor_states", 6),
             ("certifier", "class of w contains other words"),
         ]
         assert satisfies(M, Identity(w, v.witness)).holds
@@ -1464,7 +1532,8 @@ def test_isoterm_family_word_n4_at_default_budget():
 
 
 def test_isoterm_state_cap_exit():
-    v = isoterm(catalog("M(xyxy)"), parse_word("x y x y"), budget=IsotermBudget(max_states=10))
+    # The certifier keeps 5 states for x y x y, so a cap of 4 stops it.
+    v = isoterm(catalog("M(xyxy)"), parse_word("x y x y"), budget=IsotermBudget(max_states=4))
     assert (v.kind, v.bound, v.witness) == ("bounded_only", 5, None)
     assert list(v.details.items()) == [
         ("exhausted_length", 5), ("certifier", "skipped: state cap reached"),
@@ -1483,7 +1552,7 @@ def test_isoterm_empty_word():
         v = isoterm(M, EMPTY, budget=IsotermBudget(enum_words=enum_words))
         assert v.kind == "certified"
         assert list(v.details.items()) == [
-            ("exhausted_length", exhausted), ("free_monoid_size", 1),
+            ("exhausted_length", exhausted), ("left_divisor_states", 1),
             ("certifier", "class of w is a singleton"),
         ]
     v = isoterm(M, parse_word("x"), budget=IsotermBudget(enum_words=0))

@@ -309,6 +309,77 @@ def test_extend_match_restores_bindings_when_abandoned():
     assert stops == [2, 4, 3] and bindings == seed
 
 
+def oracle_extend_match(pat, txt, start, end, bindings):
+    """``extend_match`` before its length bound divided by the variable's
+    occurrences: an unbound variable may take every length up to the text
+    left after the other letters' bound images, even one whose repeats
+    cannot fit."""
+    if end is not None:
+        txt = txt[:end]
+    limit = len(txt)
+    npat = len(pat)
+    stack = []
+    pi, pos = 0, start
+    try:
+        while True:
+            while pi < npat:
+                c = pat[pi]
+                bound = bindings.get(c)
+                if bound is None:
+                    longest = limit - pos
+                    for d in pat[pi + 1 :]:
+                        longest -= len(bindings.get(d, ()))
+                    if longest < 0:
+                        break
+                    bound = bindings[c] = ()
+                    stack.append((pi, pos, longest))
+                elif txt[pos : pos + len(bound)] != bound:
+                    break
+                pi, pos = pi + 1, pos + len(bound)
+            else:
+                if end is None or pos == limit:
+                    yield pos
+            while stack:
+                pi, pos, longest = stack[-1]
+                c = pat[pi]
+                length = len(bindings[c]) + 1
+                if length <= longest:
+                    bindings[c] = txt[pos : pos + length]
+                    pi, pos = pi + 1, pos + length
+                    break
+                del bindings[c]
+                stack.pop()
+            else:
+                return
+    finally:
+        for pi, _, _ in stack:
+            del bindings[pat[pi]]
+
+
+def test_extend_match_matches_unbounded_oracle():
+    # Every stop with the bindings it was yielded with, in order, and the
+    # bindings left after: seeded patterns with repeated letters, texts,
+    # windows and seed images, some of which cannot occur in the text.
+    rng = random.Random(20261021)
+    solutions = 0
+    for _ in range(5000):
+        pat = tuple(rng.choice("xyzt"[: rng.randint(1, 4)]) for _ in range(rng.randint(0, 7)))
+        txt = tuple(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        start = rng.randint(0, len(txt))
+        end = rng.choice([None, rng.randint(start, len(txt))])
+        seed = {c: tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+                for c in set(pat) if rng.random() < 0.3}
+        runs = []
+        for matcher in (extend_match, oracle_extend_match):
+            bindings = dict(seed)
+            runs.append(([(stop, dict(bindings)) for stop in matcher(pat, txt, start, end, bindings)],
+                         bindings))
+        assert runs[0] == runs[1], (pat, txt, start, end, seed)
+        assert runs[0][1] == seed
+        solutions += len(runs[0][0])
+    assert solutions > 10_000, solutions
+
+
 def test_match_pattern_against_brute_force():
     rng = random.Random(20260814)
     pattern_vars = ["x", "y", "z"]
