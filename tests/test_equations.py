@@ -1364,20 +1364,26 @@ def test_second_word_in_class_matches_oracle():
     assert sum(outcomes.values()) == 3618
 
 
-def _certifier_outcome(build, w):
-    """The certifier's answer for w: None (certified) or the second word
-    of w's class, or the message of a RelFreeCapExceeded exit from
-    ``build()`` or the class search; with the monoid built, or None."""
+def _built(build):
+    """``build()``, or the RelFreeCapExceeded it raised."""
     try:
-        rf = build()
+        return build()
     except RelFreeCapExceeded as exc:
-        return str(exc), None
+        return exc
+
+
+def _certifier_outcome(rf, w):
+    """The certifier's answer for w on rf, a relatively free monoid or the
+    RelFreeCapExceeded its build raised: None (certified), the second word
+    of w's class, or the message of a RelFreeCapExceeded exit."""
+    if isinstance(rf, RelFreeCapExceeded):
+        return str(rf)
     target = rf.state_of(w)
     assert rf.complete and target is not None, w
     try:
-        return _second_word_in_class(rf, target, w), rf
+        return _second_word_in_class(rf, target, w)
     except RelFreeCapExceeded as exc:
-        return str(exc), rf
+        return str(exc)
 
 
 def test_pruned_certifier_matches_dense_oracle():
@@ -1397,24 +1403,19 @@ def test_pruned_certifier_matches_dense_oracle():
             gens = tuple(sorted(w.content()))
             k = len(gens)
             if k not in dense:
-                dense[k] = _certifier_outcome(lambda: rel_free(M, k), EMPTY)[1]
+                dense[k] = _built(lambda: rel_free(M, k))
+            full = dense[k]
             rename = {c: f"x{i + 1}" for i, c in enumerate(gens)}
             back = {x: c for c, x in rename.items()}
-
-            def whole():
-                if dense[k] is None:
-                    rel_free(M, k)  # raises its RelFreeCapExceeded again
-                return dense[k]
-
-            expected, full = _certifier_outcome(whole, Word(rename[c] for c in w.letters))
+            expected = _certifier_outcome(full, Word(rename[c] for c in w.letters))
             if isinstance(expected, Word):
                 expected = Word(back[x] for x in expected.letters)
-            got, rf = _certifier_outcome(
-                lambda: equations._rel_free(M, k, generators=gens, divides=w), w)
+            rf = _built(lambda: equations._rel_free(M, k, generators=gens, divides=w))
+            got = _certifier_outcome(rf, w)
             assert got == expected, (M.name, w)
             if isinstance(got, Word):
                 assert got != w and satisfies(M, Identity(w, got)).holds, (M.name, w)
-            if rf is not None:
+            if isinstance(rf, RelFree):
                 assert rf.size <= full.size
                 for state in range(rf.size):
                     word = Word(rename[c] for c in rf.word_of(state).letters)
