@@ -1,11 +1,11 @@
 """Identity satisfaction, relatively free monoids, isoterms, membership.
 
 ``satisfies`` first checks that the n^k assignments of the identity's k
-variables fit the evaluation budget, then decides by one of three paths.
-Whichever decides, a failure's witness is the first failing assignment in
-mixed-radix order over the element order, variables sorted
-lexicographically with the *first* variable most significant, and
-``checked`` is n^k.
+variables fit the evaluation budget.  Two equal sides then hold at once;
+any other identity is decided by one of three paths.  Whichever decides,
+a failure's witness is the first failing assignment in mixed-radix order
+over the element order, variables sorted lexicographically with the
+*first* variable most significant, and ``checked`` is n^k.
 
 1. *Factor keys.*  A word-factor quotient M(W) (``rees_quotient``, which
    records W as the monoid's ``factor_words``) needs no scan to decide an
@@ -34,8 +34,12 @@ lexicographically with the *first* variable most significant, and
    n^|C| <= n^(k-3) reduced assignments pay for the n-wide sets.
 3. *The scan.*  Every other identity is decided by exhaustive
    substitution, with the Cayley table applied as a vectorized gather over
-   all assignments at once.  It is the general path and the oracle the
-   other two are tested against.
+   all assignments at once, on the same split u = A·u'·B, v = A·v'·B.  A
+   is evaluated once, and both middles continue from its values.  B is
+   applied to both sides only if the middles differ somewhere: where they
+   agree the sides do, so the first assignment at which the sides differ
+   is still the first failing one.  It is the general path; the other two
+   are tested against a scan of both whole sides.
 
 One private kernel, ``_AssignmentSpace``, holds an assignment space and
 the one layout every word product goes through: the Cayley table
@@ -204,7 +208,6 @@ class _AssignmentSpace:
         self.total = n ** k
         self.M = M
         self.variables = tuple(variables)
-        self.shape = (n,) * k
         self.fixed = dict(fixed or {})
 
     @functools.cached_property
@@ -243,10 +246,11 @@ class _AssignmentSpace:
         w_values = walk.values(w.letters)
         return lambda cand: walk.values(cand.letters) == w_values
 
-    def values(self, word: Word) -> np.ndarray:
-        """The value of ``word`` under every assignment, in order."""
+    def values(self, word: Word, start: np.ndarray | None = None) -> np.ndarray:
+        """The value of ``word`` under every assignment, in order; given
+        ``start``, the values of some u in that order, those of u·word."""
         by_column, columns = _by_column(self.M), self.columns
-        acc = np.full(self.total, self.identity, dtype=by_column.dtype)
+        acc = np.full(self.total, self.identity, dtype=by_column.dtype) if start is None else start
         for c in word.letters:
             acc = by_column.take(columns[c] + acc)
         return acc
@@ -269,8 +273,11 @@ class _AssignmentSpace:
 
     def assignment(self, index: int) -> dict[str, str]:
         """The assignment at ``index``, as variable -> element label."""
-        digits = np.unravel_index(index, self.shape)
-        return {v: self.M.elements[int(d)] for v, d in zip(self.variables, digits)}
+        n, digits = self.M.order, []
+        for _ in self.variables:
+            index, d = divmod(index, n)
+            digits.append(d)
+        return {v: self.M.elements[d] for v, d in zip(self.variables, reversed(digits))}
 
 
 def _by_column(M: FiniteMonoid) -> np.ndarray:
@@ -404,7 +411,8 @@ def _linear_split(ident: Identity) -> _LinearSplit:
     prefix, lhs, rhs, suffix = _split_rule(ident.lhs.letters, ident.rhs.letters)
     u_count, v_count = ident.lhs.occurrences(), ident.rhs.occurrences()
     linear = frozenset(c for c in prefix + suffix if u_count[c] == 1 and v_count[c] == 1)
-    return _LinearSplit(Word(prefix), Word(lhs), Word(rhs), Word(suffix), linear)
+    # Slices of valid words: their letters need no validation.
+    return _LinearSplit(Word._of(prefix), Word._of(lhs), Word._of(rhs), Word._of(suffix), linear)
 
 
 def _elimination_failures(space: _AssignmentSpace, split: _LinearSplit) -> np.ndarray:
@@ -443,11 +451,22 @@ def _by_elimination(space: _AssignmentSpace, ident: Identity, split: _LinearSpli
     )
 
 
-def _by_scan(space: _AssignmentSpace, ident: Identity) -> SatisfactionResult:
-    """Decide M |= ident by evaluating both sides under every assignment."""
-    lhs = space.values(ident.lhs)
-    rhs = space.values(ident.rhs)
+def _by_scan(space: _AssignmentSpace, split: _LinearSplit) -> SatisfactionResult:
+    """Decide M |= A·u'·B = A·v'·B, split as ``split``, under every
+    assignment of ``space``.  A is evaluated once and both middles continue
+    from its values.  B is applied only when the middles differ at some
+    assignment, and then to both sides at every assignment.  An assignment
+    where the middles agree gives equal sides, so the sides differ only
+    where the middles do, and the first assignment at which they differ
+    after B is the first failing assignment of all n^k: the witness."""
+    prefix = space.values(split.prefix)
+    lhs = space.values(split.lhs, prefix)
+    rhs = space.values(split.rhs, prefix)
     neq = lhs != rhs
+    if split.suffix and neq.any():
+        lhs = space.values(split.suffix, lhs)
+        rhs = space.values(split.suffix, rhs)
+        neq = lhs != rhs
     if not neq.any():
         return SatisfactionResult(holds=True, checked=space.total)
     first = int(np.argmax(neq))
@@ -464,8 +483,10 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     """Decide M |= ident.
 
     Raises BudgetExceededError when the assignment space n^k exceeds
-    ``budget``, checked before any path runs, so for every M and every path
-    below.  Three paths decide (see the module docstring):
+    ``budget``, checked before anything else, so for every M and every path
+    below, and for two equal sides too.  Two equal sides then hold at once,
+    with no path run.  Three paths decide any other identity (see the
+    module docstring):
 
     - a word-factor quotient M(W) (built by ``rees_quotient``) compares the
       sides' factor keys, with no n^k array when the identity holds;
@@ -473,7 +494,9 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
       inside the longest common prefix or suffix) is decided by eliminating
       them, over the n^|C| assignments of the other letters C;
     - any other identity, and a failure in M(W) with fewer than three
-      linear letters, by exhaustive substitution (vectorized).
+      linear letters, by exhaustive substitution (vectorized), which
+      evaluates the common prefix once and the common suffix only where
+      the rest of the two sides differ.
 
     A failure's witness is the first failing assignment in mixed-radix
     enumeration order (variables sorted, first most significant, element
@@ -482,12 +505,13 @@ def satisfies(M: FiniteMonoid, ident: Identity, *, budget: int = DEFAULT_BUDGET)
     """
     space = _AssignmentSpace(M, sorted(ident.variables()))
     _check_budget(space, budget)
-    if M.factor_words is not None and space.same_as(ident.lhs)(ident.rhs):
+    if ident.lhs == ident.rhs or (
+            M.factor_words is not None and space.same_as(ident.lhs)(ident.rhs)):
         return SatisfactionResult(holds=True, checked=space.total)
     split = _linear_split(ident)
     if len(split.linear) >= 3:
         return _by_elimination(space, ident, split)
-    return _by_scan(space, ident)
+    return _by_scan(space, split)
 
 
 def satisfies_all(

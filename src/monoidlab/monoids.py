@@ -687,6 +687,8 @@ def _load_stock(base: str) -> FiniteMonoid:
 
 _REES_RE = re.compile(r"M\((.*)\)\Z")
 _CYCLIC_RE = re.compile(r"Z([0-9]+)\Z")
+#: A stock name with a trailing ``1``, such as ``E1``: the name with ``^1``.
+_STOCK_ONE_RE = re.compile("|".join(re.escape(s) + "1" for s in _STOCK_NAMES))
 
 
 @functools.lru_cache(maxsize=None)
@@ -725,7 +727,7 @@ def catalog(name: str) -> FiniteMonoid:
     fresh adjoined identity.  Results are cached; treat them as immutable.
     """
     normalized = name.strip().replace(" ", "")
-    if re.fullmatch("|".join(re.escape(s) + "1" for s in _STOCK_NAMES), normalized):
+    if _STOCK_ONE_RE.fullmatch(normalized):
         normalized = normalized[:-1] + "^1"
     return _catalog_cached(normalized)
 

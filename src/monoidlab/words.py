@@ -108,6 +108,16 @@ class Word:
         self.letters = letters
         self._hash = hash(letters)
 
+    @classmethod
+    def _of(cls, letters: tuple[str, ...]) -> "Word":
+        """The word on ``letters``, a tuple of names already known to be
+        variables (such as a slice of another word's letters), made
+        without validating them again."""
+        word = cls.__new__(cls)
+        word.letters = letters
+        word._hash = hash(letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -39,6 +39,7 @@ from monoidlab.equations import (
     IsotermBudget,
     RelFree,
     RelFreeCapExceeded,
+    SatisfactionResult,
     TupleConflict,
     close_under_deletion,
     evaluate,
@@ -350,8 +351,112 @@ def _shared_context_pair(rng: random.Random) -> Identity:
     return Identity(Word(p + x + s), Word(p + y + s))
 
 
+def oracle_scan(space, ident):
+    """Both whole sides of ``ident`` over every assignment of ``space``:
+    the scan of ``satisfies`` before it split off the common prefix and
+    suffix, with the witness index decoded by ``np.unravel_index``."""
+    lhs = space.values(ident.lhs)
+    rhs = space.values(ident.rhs)
+    neq = lhs != rhs
+    if not neq.any():
+        return SatisfactionResult(holds=True, checked=space.total)
+    first = int(np.argmax(neq))
+    digits = np.unravel_index(first, (space.M.order,) * len(space.variables))
+    return SatisfactionResult(
+        holds=False,
+        witness={v: space.M.elements[int(d)] for v, d in zip(space.variables, digits)},
+        lhs_value=space.M.elements[int(lhs[first])],
+        rhs_value=space.M.elements[int(rhs[first])],
+        checked=space.total,
+    )
+
+
+def _result_fields(res):
+    return res.holds, res.witness, res.lhs_value, res.rhs_value, res.checked
+
+
+def _scan_corpus(rng, letters, count):
+    """Identities over ``letters``: equal sides, one empty side, and
+    P·X·S = P·Y·S with a context of up to 10 letters on each end or none,
+    in turn, plus the empty identity 1 = 1 (k = 0)."""
+
+    def draw(most):
+        return [rng.choice(letters) for _ in range(rng.randint(0, most))]
+
+    out = [Identity(EMPTY, EMPTY)]
+    while len(out) < count:
+        kind = len(out) % 6
+        if kind == 0:
+            u = v = draw(9)
+        elif kind == 1:
+            u, v = draw(6), []
+        elif kind == 2:
+            u, v = [], draw(6)
+        else:
+            p, s = (draw(10), draw(10)) if kind < 5 else (draw(2), [])
+            u, v = p + draw(4) + s, p + draw(4) + s
+        out.append(Identity(Word(u), Word(v)))
+    return out
+
+
+def test_scan_matches_whole_side_oracle():
+    # The scan evaluates the common prefix A once, continues both middles
+    # from it and applies the common suffix B only where the middles
+    # differ; satisfies and _by_scan must agree with the whole-side scan in
+    # every field.  The corpus must hold sides that agree only after B,
+    # and failures whose first differing middle is not the witness: there
+    # B masks the middles' first difference.
+    rng = random.Random(20261022)
+    names = ("Q^1", "L2^1", "E^1", "B0^1", "B2^1", "A2^1", "M(xyxy)", "M(xy)", "S3", "Z3",
+             "I^1", "J^1", "R2^1", "P2^1")
+    groups = [(catalog(name), "xyzw", 150) for name in names]
+    groups.append((direct_product(catalog("E^1"), catalog("Z3")), "xyz", 150))
+    big = direct_product(direct_product(catalog("M(xyxy)"), catalog("M(xyx)")), catalog("M(xy)"))
+    assert big.order == 315  # uint16 table
+    groups.append((big, "xy", 30))
+    seen = collections.Counter()
+    for M, letters, count in groups:
+        for ident in _scan_corpus(rng, letters, count):
+            space = _AssignmentSpace(M, sorted(ident.variables()))
+            split = _linear_split(ident)
+            want = oracle_scan(space, ident)
+            assert _result_fields(_by_scan(space, split)) == _result_fields(want), (M.name, str(ident))
+            assert _result_fields(satisfies(M, ident)) == _result_fields(want), (M.name, str(ident))
+            seen["holds" if want.holds else "fails"] += 1
+            if ident.lhs == ident.rhs:
+                continue
+            middles = (space.values(split.prefix * split.lhs)
+                       != space.values(split.prefix * split.rhs))
+            if want.holds and middles.any():
+                seen["agree only after B"] += 1
+            if not want.holds and space.assignment(int(np.argmax(middles))) != want.witness:
+                seen["B masks the first difference"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def test_equal_sides_hold_at_once(monkeypatch):
+    # Two equal sides hold with checked = n^k before any path runs, M(W)'s
+    # factor keys included; k = 0 is 1 = 1.
+    def no_path(*args):
+        raise AssertionError("a path ran on equal sides")
+
+    for name in ("_by_scan", "_by_elimination", "_linear_split", "_factor_key"):
+        monkeypatch.setattr(equations, name, no_path)
+    w = parse_word("x y^2 z x h1 y")
+    for M, ident, total in ((catalog("E^1"), Identity(w, w), 6 ** 4),
+                            (catalog("M(xyxy)"), Identity(w, w), 9 ** 4),
+                            (catalog("M(xyxy)"), Identity(EMPTY, EMPTY), 1)):
+        assert _result_fields(satisfies(M, ident)) == (True, None, None, None, total)
+
+
+def test_equal_sides_still_check_the_budget():
+    w = parse_word("x y z t x")
+    with pytest.raises(BudgetExceededError):
+        satisfies(catalog("E^1"), Identity(w, w), budget=1000)  # 6^4 = 1296 > 1000
+
+
 def test_elimination_matches_exhaustive_scan():
-    # Linear-letter elimination against the scan it replaces, called
+    # Linear-letter elimination against the whole-side scan, called
     # directly whatever the number of linear letters, so sigma(1), sigma(2)
     # and sigma_infinity (one or two linear letters) are covered too.
     # The 18-element product drawn last runs the witness loop at
@@ -375,7 +480,7 @@ def test_elimination_matches_exhaustive_scan():
         m = M.name
         space = _AssignmentSpace(M, sorted(ident.variables()))
         split = _linear_split(ident)
-        got, want = _by_elimination(space, ident, split), _by_scan(space, ident)
+        got, want = _by_elimination(space, ident, split), oracle_scan(space, ident)
         assert (got.holds, got.witness, got.lhs_value, got.rhs_value, got.checked) == (
             want.holds, want.witness, want.lhs_value, want.rhs_value, want.checked
         ), (m, str(ident))
